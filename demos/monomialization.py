@@ -40,7 +40,7 @@ f = (
 )
 print("recognition:", type_a_report(f).kind)
 
-g, mono, witness = monomialize(f, emit_substitution=True)
+g, mono, witness = monomialize(f)
 # dissolving x1^2 x2 feeds back into higher powers of x1 at every degree,
 # so the table carries a truncated tail of correction coefficients
 print("power table:", {k: str(v) for k, v in sorted(mono.kappa.items())})

@@ -150,28 +150,6 @@ def phi12(q: DoubledPathQuiver, trunc: int, s: int, lam1: QQ, lam2: QQ) -> Subst
     return Substitution(q, trunc, {a1: img1, a2: img2})
 
 
-def commute_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
-    """Exchange the leading yx of a mixed cycle: coeff*(y x w) becomes
-    coeff*(x y w) plus corrections of strictly higher degree."""
-    q = f.quiver
-    ids = word[1]
-    L = len(ids)
-    pat = y_ids(q) + x_ids(q)
-    doubled = ids + ids
-    k = next(i for i in range(L) if doubled[i : i + 4] == pat)
-    rot = (ids + ids)[k : k + L]
-    w = rot[4:]
-    assert w, "cycle is exactly xy"
-    a1, b1 = q.a_index(1), q.b_index(1)
-    img_a = NCElement.from_word(q, f.truncation, (1, (a1,))) - NCElement.from_word(
-        q, f.truncation, (1, (a1,) + w), coeff
-    )
-    img_b = NCElement.from_word(q, f.truncation, (2, (b1,))) + NCElement.from_word(
-        q, f.truncation, (2, w + (b1,)), coeff
-    )
-    return Substitution(q, f.truncation, {a1: img_a, b1: img_b})
-
-
 # -- normalization driver -----------------------------------------------------------
 
 
@@ -188,8 +166,7 @@ def _mixed_terms(f: Potential, degree: int) -> List[Tuple[Word, QQ, int]]:
     return out
 
 
-def normalize(f: Potential, emit_substitution: bool = True
-              ) -> Tuple[Potential, Optional[Substitution]]:
+def normalize(f: Potential) -> Tuple[Potential, Substitution]:
     """Remove the redundant part below the truncation.
 
     Output: the base part alone when the 2x2 coefficient matrix is
@@ -269,8 +246,7 @@ def normalize(f: Potential, emit_substitution: bool = True
     check = base_split(f)
     expected = () if (not det0 or s_star is None) else (s_star,)
     assert check.residual_degrees == expected, "normalization left junk"
-    witness = compose_chain(steps, q, D) if emit_substitution else None
-    return f, witness
+    return f, compose_chain(steps, q, D)
 
 
 # -- classification ------------------------------------------------------------------
@@ -292,7 +268,7 @@ class A3Class:
         return f"A3Class(family={self.family}, parameters={self.parameters})"
 
 
-def _scaling(q: DoubledPathQuiver, trunc: int, a: QQ, b: QQ) -> Substitution:
+def scaling(q: DoubledPathQuiver, trunc: int, a: QQ, b: QQ) -> Substitution:
     """x -> a x, y -> b y via the two forward arrows."""
     images = {}
     if a != 1:
@@ -313,30 +289,30 @@ def _normalizer(q, trunc, family, k1, p, k2, qq, mu, s):
         root = nth_root(k1, 2)
         if root is None:
             return None, one
-        return _scaling(q, trunc, 1 / root, root), one
+        return scaling(q, trunc, 1 / root, root), one
     if family == 2:
         a = nth_root(k1 / mu, s - 2)
         if a is None:
             return None, one
         b = k1 * a
-        return _scaling(q, trunc, a, b), a * b
+        return scaling(q, trunc, a, b), a * b
     if family == 3:
         exp = (p - 1) * (qq - 1) - 1
         a = nth_root(k1 ** (1 - qq) / k2, exp)
         if a is None:
             return None, one
         b = k1 * a ** (p - 1)
-        return _scaling(q, trunc, a, b), a * b
+        return scaling(q, trunc, a, b), a * b
     if family == 5:
-        return _scaling(q, trunc, one, k1), k1
+        return scaling(q, trunc, one, k1), k1
     if family == 6:
-        return _scaling(q, trunc, k2, one), k2
+        return scaling(q, trunc, k2, one), k2
     return Substitution.identity(q, trunc), one
 
 
-def classify(f: Potential, emit_substitution: bool = True) -> A3Class:
+def classify(f: Potential) -> A3Class:
     """Family and parameters of a potential containing xy."""
-    g, witness = normalize(f, emit_substitution)
+    g, witness = normalize(f)
     q = g.quiver
     pure_x: Dict[int, QQ] = {}
     pure_y: Dict[int, QQ] = {}
@@ -378,7 +354,7 @@ def classify(f: Potential, emit_substitution: bool = True) -> A3Class:
         family, p, qq, k2 = 7, None, None, ZERO
         params = ()
     normalizer, scale = _normalizer(q, g.truncation, family, k1, p, k2, qq, mu, s)
-    if normalizer is not None and witness is not None:
+    if normalizer is not None:
         normalizer = compose(witness, normalizer)
     return A3Class(
         family=family,

@@ -19,10 +19,10 @@ complex of right-multiplication maps.
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .field import QQ
-from .linalg import RowSpace
+from .linalg import rank_of
 from .quiver import Quiver, Word
 from .rewrite import ReductionSystem, check_resolvable, overlaps
 from .series import NCElement
@@ -302,9 +302,9 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
             if p[1] and all(i in middle_loops for i in p[1]):
                 d1_rank_targets.add(p)
 
-        r4 = _rank(d4.values())
-        r3 = _rank(d3.values())
-        r2 = _rank(d2.values())
+        r4 = rank_of(d4.values())
+        r3 = rank_of(d3.values())
+        r2 = rank_of(d2.values())
         entry = {
             "dims": (len(v0), len(v1a) + len(v1b), len(v2a) + len(v2b), len(v3), ed4),
             "ranks": (r4, r3, r2),
@@ -327,10 +327,3 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
 
     return {"n": n, "max_degree": D, "degrees": degrees,
             "pass": not failures, "witnesses": failures}
-
-
-def _rank(vectors: Iterable[Vec]) -> int:
-    space = RowSpace()
-    for v in vectors:
-        space.insert(dict(v))
-    return space.rank

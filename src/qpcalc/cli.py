@@ -22,13 +22,13 @@ import sympy as sp
 
 from .a3 import (
     NotOnQ,
-    _scaling,
     apq_orbit,
     class_potential,
     classify,
     derived_orbit,
     flop,
     gv_set,
+    scaling,
     xy_word,
 )
 from .appendix import appendix_checks, exactness_check
@@ -40,7 +40,9 @@ from .quiver import DoubledPathQuiver
 from .realize import contraction_relations, emit_presentation, solve_g_system
 from .serialize import (
     SchemaError,
+    element_to_json,
     kappa_from_json,
+    kappa_to_json,
     potential_from_json,
     potential_to_json,
     substitution_to_json,
@@ -119,15 +121,12 @@ def cmd_jdim(args) -> int:
 
 def cmd_monomialize(args) -> int:
     f = _load_potential(args)
-    g, mono, sub = monomialize(f, emit_substitution=True)
+    g, mono, sub = monomialize(f)
     soundness = sub.apply_potential(f) == g
     before, after = jdim(f), jdim(g)
     dim_invariant = before.counts == after.counts and before.certificate == after.certificate
     payload: Dict[str, object] = {
-        "kappa": [
-            {"i": i, "j": j, "coeff": rational_str(c)}
-            for (i, j), c in sorted(mono.kappa.items())
-        ],
+        "kappa": kappa_to_json(f.quiver.n, mono.kappa)["kappa"],
         "trusted_below": f.truncation,
         "checks": {"soundness": soundness, "dim_invariant": dim_invariant},
     }
@@ -174,10 +173,7 @@ def cmd_realize(args) -> int:
         if curve["type"] == "(-2,0)":
             loops.append({"vertex": curve["index"], "label": curve["loop"]})
     relations = [
-        {"label": label, "terms": [
-            {"coeff": rational_str(c), "arrows": [el.quiver.arrows[i].name for i in ids]}
-            for (tail, ids), c in sorted(el.terms.items(), key=lambda kv: (len(kv[0][1]), kv[0][1]))
-        ]}
+        {"label": label, "terms": element_to_json(el)}
         for label, el in contraction_relations(n, table, args.max_degree)
     ]
     _emit({
@@ -201,7 +197,7 @@ def _load_two_cycle(args) -> Potential:
     if crossing == 0:
         raise CLIError("classification needs a nonzero crossing term a1*b1*a2*b2")
     if crossing != 1:
-        f = _scaling(q, f.truncation, 1 / crossing, QQ(1)).apply_potential(f)
+        f = scaling(q, f.truncation, 1 / crossing, QQ(1)).apply_potential(f)
     return f
 
 

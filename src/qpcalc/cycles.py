@@ -8,10 +8,10 @@ lexicographically smallest.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .field import QQ, ZERO, rational, rational_str
-from .quiver import DoubledPathQuiver, Quiver, Word, double_an
+from .field import QQ, ZERO
+from .quiver import DoubledPathQuiver, Quiver, Word
 from .series import NCElement
 
 
@@ -26,19 +26,6 @@ def canonical_cycle(quiver: Quiver, word: Word) -> Word:
         if rot < best:
             best = rot
     return (quiver.arrows[best[0]].tail, best)
-
-
-def rotations(quiver: Quiver, word: Word) -> List[Word]:
-    tail, ids = word
-    out = []
-    seen = set()
-    for k in range(len(ids)):
-        rot = ids[k:] + ids[:k]
-        if rot in seen:
-            continue
-        seen.add(rot)
-        out.append((quiver.arrows[rot[0]].tail, rot))
-    return out
 
 
 def cycle_from_slots(quiver: DoubledPathQuiver, spec: Sequence[Tuple[int, bool]]) -> Word:
@@ -126,13 +113,6 @@ class Potential:
             out.add_cycle(word, coeff)
         return out
 
-    def as_element(self) -> NCElement:
-        return NCElement(self.quiver, self.truncation, dict(self.terms))
-
-    @classmethod
-    def from_element(cls, el: NCElement) -> "Potential":
-        return cls(el.quiver, el.truncation, dict(el.terms))
-
     # -- cyclic derivative -----------------------------------------------------
 
     def cyclic_derivative(self, arrow_name: str) -> NCElement:
@@ -155,50 +135,6 @@ class Potential:
                     out[word] = acc
         return NCElement(self.quiver, self.truncation, out)
 
-    # -- x-statistics (doubled quivers only) -----------------------------------
-
-    def _stats(self, word: Word) -> Tuple[int, int, int]:
-        """(x-degree, leftmost slot, rightmost slot) of a cycle."""
-        q = self.quiver
-        assert isinstance(q, DoubledPathQuiver)
-        t = q.x_degrees(word)
-        support = [i + 1 for i, c in enumerate(t) if c]
-        assert support, "cycle avoids every x-letter"
-        return (sum(t), support[0], support[-1])
-
-    def project(self, selector: str, *args: int) -> "Potential":
-        """Sub-sum of terms picked by x-statistics.
-
-        selector: 'xdeg_eq' d | 'xdeg_lt' d | 'block' i j | 'through' s
-        block keeps terms whose x-support lies inside slots i..j; through
-        keeps terms whose support interval contains slot s.
-        """
-        out = Potential(self.quiver, self.truncation)
-        for word, coeff in self.terms.items():
-            deg, lo, hi = self._stats(word)
-            keep = False
-            if selector == "xdeg_eq":
-                keep = deg == args[0]
-            elif selector == "xdeg_lt":
-                keep = deg < args[0]
-            elif selector == "block":
-                keep = args[0] <= lo and hi <= args[1]
-            elif selector == "through":
-                keep = lo <= args[0] <= hi
-            else:
-                raise ValueError(f"unknown selector {selector!r}")
-            if keep:
-                out.terms[word] = coeff
-        return out
-
-    def min_x_degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(self._stats(w)[0] for w in self.terms)
-
-    def x_degrees_present(self) -> List[int]:
-        return sorted({self._stats(w)[0] for w in self.terms})
-
     # -- i/o --------------------------------------------------------------------
 
     def sorted_items(self):
@@ -211,29 +147,6 @@ class Potential:
         if not self.terms:
             return "0"
         return " + ".join(f"({c})*{self.quiver.format_word(w)}" for w, c in self.sorted_items())
-
-    def to_json_dict(self) -> dict:
-        q = self.quiver
-        assert isinstance(q, DoubledPathQuiver), "JSON schema covers doubled quivers"
-        return {
-            "quiver": {"n": q.n, "loopless": sorted(q.loopless)},
-            "truncation": self.truncation,
-            "terms": [
-                {"coeff": rational_str(c), "arrows": list(q.word_names(w))}
-                for w, c in self.sorted_items()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Potential":
-        qinfo = data["quiver"]
-        quiver = double_an(int(qinfo["n"]), [int(v) for v in qinfo.get("loopless", [])])
-        out = cls(quiver, int(data["truncation"]))
-        for term in data["terms"]:
-            word = quiver.word_from_names(term["arrows"])
-            assert quiver.head_of(word) == word[0], "term is not a cycle"
-            out.add_cycle(word, rational(term["coeff"]))
-        return out
 
 
 def x_monomial(quiver: DoubledPathQuiver, truncation: int, spec: Sequence[Tuple[int, bool]], coeff=1) -> Potential:

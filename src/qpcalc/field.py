@@ -89,7 +89,3 @@ def nth_root(value, k: int):
     if rn is None or rd is None:
         return None
     return QQ(sign * rn, rd)
-
-
-def is_square(value) -> bool:
-    return nth_root(value, 2) is not None

@@ -118,9 +118,6 @@ class Fingerprint:
     total: Tuple[int, str]
     ends: Tuple[Tuple[int, str], Tuple[int, str]]  # sorted pair
 
-    def __eq__(self, other):
-        return isinstance(other, Fingerprint) and self.total == other.total and self.ends == other.ends
-
 
 def fingerprint(f: Potential, truncation: Optional[int] = None) -> Fingerprint:
     """(dim, unordered {dim after deleting vertex 1, ... vertex n})."""
@@ -137,13 +134,12 @@ def fingerprint(f: Potential, truncation: Optional[int] = None) -> Fingerprint:
 # -- independent dimension oracle ---------------------------------------------
 
 
-def _max_paths_guard() -> int:
-    return int(os.environ.get("QP_MAX_PATHS", "20000"))
+def all_paths(quiver: Quiver, max_weight: int) -> List[Word]:
+    """Every path word of weight < max_weight, lazies included.
 
-
-def all_paths(quiver: Quiver, max_weight: int, max_paths: Optional[int] = None) -> List[Word]:
-    """Every path word of weight < max_weight, lazies included."""
-    cap = max_paths if max_paths is not None else _max_paths_guard()
+    The census is capped at QP_MAX_PATHS words in total (default 20000).
+    """
+    cap = int(os.environ.get("QP_MAX_PATHS", "20000"))
     out: List[Word] = []
     stack = [((v, ()), 0, v) for v in quiver.vertices]
     while stack:
@@ -158,15 +154,14 @@ def all_paths(quiver: Quiver, max_weight: int, max_paths: Optional[int] = None) 
     return out
 
 
-def jdim_oracle(quiver: Quiver, relations: Iterable[NCElement], truncation: int,
-                max_paths: Optional[int] = None) -> int:
+def jdim_oracle(quiver: Quiver, relations: Iterable[NCElement], truncation: int) -> int:
     """dim of (paths below truncation) / (two-sided span of the relations).
 
     No rewriting: saturate the relation span by one-arrow products on both
     sides inside an exact echelon, then subtract the rank from the path
     census. Agrees with jdim's count for the same truncation.
     """
-    paths = all_paths(quiver, truncation, max_paths)
+    paths = all_paths(quiver, truncation)
     space = RowSpace()
     queue = deque()
     for rel in relations:

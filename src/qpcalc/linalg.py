@@ -6,7 +6,7 @@ an echelonized spanning set; ranks and membership tests are exact.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
 from .field import QQ, ZERO
 
@@ -84,21 +84,3 @@ def det_dense(matrix: List[List[QQ]]) -> QQ:
             for c in range(col, n):
                 m[r][c] -= factor * m[col][c]
     return det
-
-
-def solve_dense(matrix: List[List[QQ]], rhs: List[QQ]) -> Optional[List[QQ]]:
-    """Solve a square exact system; None when singular."""
-    n = len(matrix)
-    m = [[QQ(x) for x in row] + [QQ(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [v / pivot for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]

@@ -250,20 +250,19 @@ def _degrees_with_junk(f: Potential) -> List[int]:
     return sorted(degs)
 
 
-def monomialize(f: Potential, emit_substitution: bool = False,
-                require_reduced: bool = True) -> Tuple[Potential, MonomialReport, Optional[Substitution]]:
-    """Transform a Type A potential to monomial form below its truncation."""
+def monomialize(f: Potential) -> Tuple[Potential, MonomialReport, Substitution]:
+    """Transform a reduced Type A potential to monomial form below its truncation.
+
+    The returned substitution sends f to the monomial output exactly.
+    """
     report = type_a_report(f)
     assert report.is_type_a, f"missing consecutive products at {report.missing_middles}"
-    if require_reduced:
-        assert report.reduced, f"loop squares present at {report.loop_squares}"
+    assert report.reduced, f"loop squares present at {report.loop_squares}"
     g, steps = _monomialize_core(f)
     mono = extract_monomial(g)
     assert mono is not None, "normalization left a non-monomial term"
-    if require_reduced:
-        assert mono.reduced(g.quiver), "a loop square appeared during normalization"
-    total = compose_chain(steps, f.quiver, f.truncation) if emit_substitution else None
-    return g, mono, total
+    assert mono.reduced(g.quiver), "a loop square appeared during normalization"
+    return g, mono, compose_chain(steps, f.quiver, f.truncation)
 
 
 def _monomialize_core(f: Potential) -> Tuple[Potential, List[Substitution]]:

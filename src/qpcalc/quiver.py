@@ -55,21 +55,6 @@ class Quiver:
         tail, ids = word
         return self._heads[ids[-1]] if ids else tail
 
-    def is_word(self, word: Word) -> bool:
-        tail, ids = word
-        if tail not in self.by_tail_set:
-            return False
-        at = tail
-        for i in ids:
-            if self._tails[i] != at:
-                return False
-            at = self._heads[i]
-        return True
-
-    @property
-    def by_tail_set(self):
-        return set(self.vertices)
-
     def word_from_names(self, names: Sequence[str], tail: Optional[int] = None) -> Word:
         """Build a word from arrow names; tail only needed for the lazy path."""
         ids = tuple(self.by_name[n].index for n in names)

@@ -14,7 +14,7 @@ from the rank of their linear parts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import sympy as sp
 
@@ -79,11 +79,6 @@ def linear_part(g: sp.Expr) -> Tuple[sp.Rational, sp.Rational]:
 
 def pair_rank(g1: sp.Expr, g2: sp.Expr) -> int:
     return sp.Matrix([linear_part(g1), linear_part(g2)]).rank()
-
-
-def skip_pair_rank(gs: Sequence[sp.Expr], s: int) -> int:
-    """Rank across slot s; full rank exactly when kappa_{s,2} is nonzero."""
-    return pair_rank(gs[s - 1], gs[s + 1])
 
 
 def classify_pair(g1: sp.Expr, g2: sp.Expr) -> Dict[str, str]:

@@ -52,7 +52,6 @@ class ReductionSystem:
         self._by_last: Dict[int, List[int]] = {}
         self._overlap_queue: deque = deque()
         self._nf_cache: Dict[Word, Dict[Word, QQ]] = {}
-        self.completed = False
 
     # -- order ----------------------------------------------------------------
 
@@ -90,7 +89,6 @@ class ReductionSystem:
         self.rules[rid] = Rule(lead, tail)
         self._index_rule(rid)
         self._nf_cache.clear()
-        self.completed = False
         self._enqueue_overlaps(rid)
         self._interreduce(rid)
         return rid
@@ -286,14 +284,8 @@ class ReductionSystem:
                 self.add_relation(s)
                 if max_rules is not None and len(self.rules) > max_rules:
                     raise RuntimeError("completion exceeded the rule budget")
-        self.completed = True
 
     # -- irreducible words ------------------------------------------------------------
-
-    def max_lead_weight(self) -> int:
-        if not self.rules:
-            return 0
-        return max(self.quiver.weight_of(r.lead) for r in self.rules.values())
 
     def iter_irreducible(self, max_weight: int, head: Optional[int] = None, tails: Optional[Iterable[int]] = None):
         """All rule-irreducible words of weight < max_weight (DFS extension).
@@ -324,22 +316,13 @@ class ReductionSystem:
             counts[weight] += 1
         return counts
 
-    def window_is_empty(self, lo: int, hi: int) -> bool:
-        """No irreducible word has weight in [lo, hi)."""
-        for _w, weight in self.iter_irreducible(hi):
-            if lo <= weight < hi:
-                return False
-        return True
 
-
-def system_from_relations(quiver: Quiver, truncation: int, relations: Iterable[NCElement],
-                          complete: bool = True) -> ReductionSystem:
+def system_from_relations(quiver: Quiver, truncation: int, relations: Iterable[NCElement]) -> ReductionSystem:
     sys = ReductionSystem(quiver, truncation)
     for rel in relations:
         if not rel.is_zero():
             sys.add_relation(rel)
-    if complete:
-        sys.complete()
+    sys.complete()
     return sys
 
 

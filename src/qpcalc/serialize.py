@@ -102,19 +102,14 @@ def potential_from_json(data, truncation: Optional[int] = None) -> Potential:
     return f
 
 
-def _term_list(quiver, terms: Dict) -> List[Dict[str, object]]:
-    ordered = sorted(terms.items(), key=lambda kv: (len(kv[0][1]), kv[0][1]))
-    return [
-        {"coeff": rational_str(c), "arrows": list(quiver.word_names(w))}
-        for w, c in ordered
-    ]
-
-
 def potential_to_json(f: Potential) -> Dict[str, object]:
     return {
         "quiver": quiver_to_json(f.quiver),
         "truncation": f.truncation,
-        "terms": _term_list(f.quiver, f.terms),
+        "terms": [
+            {"coeff": rational_str(c), "arrows": list(f.quiver.word_names(w))}
+            for w, c in f.sorted_items()
+        ],
     }
 
 

@@ -140,11 +140,6 @@ class NCElement:
             return None
         return max(self.quiver.weight_of(w) for w in self.terms)
 
-    def weight_component(self, d: int) -> "NCElement":
-        res = NCElement(self.quiver, self.truncation)
-        res.terms = {w: c for w, c in self.terms.items() if self.quiver.weight_of(w) == d}
-        return res
-
     def truncate(self, truncation: int) -> "NCElement":
         """Reinterpret at a (usually lower) truncation, dropping overflow."""
         return NCElement(self.quiver, truncation, dict(self.terms))
@@ -162,10 +157,3 @@ class NCElement:
         for word, coeff in self.sorted_items():
             bits.append(f"({coeff})*{self.quiver.format_word(word)}")
         return " + ".join(bits)
-
-
-def nc_sum(elements: Iterable[NCElement], quiver: Quiver, truncation: int) -> NCElement:
-    acc = NCElement.zero(quiver, truncation)
-    for el in elements:
-        acc = acc + el
-    return acc

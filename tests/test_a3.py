@@ -10,8 +10,6 @@ from qpcalc.a3 import (
     apq_relations,
     class_potential,
     classify,
-    commute_substitution,
-    degrees_of,
     derived_orbit,
     flop,
     gv_set,
@@ -203,15 +201,3 @@ def test_quaternion_type_dimension_matches_potential_model():
     assert jdim_oracle(q, jacobi_relations(f), 12) == 20
 
 
-def test_commute_substitution_exchanges_leading_pair():
-    f = xyp(13, {(1, 1): 1, (2, 2): 3})
-    word = xy_word(f.quiver, 2, 2)
-    sub = commute_substitution(f, word, QQ(3))
-    g = sub.apply_potential(f)
-    assert g.coeff(word) == 0
-    q = f.quiver
-    # the replacement lands on the alternating cycle of the same bidegree
-    alternating = [w for w, c in g.terms.items()
-                   if degrees_of(q, w) == (2, 2)]
-    assert len(alternating) == 1
-    assert g.coeff(alternating[0]) == 3

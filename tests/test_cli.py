@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -35,6 +36,32 @@ def two_cycle_file(tmp_path, kx="1", kxy="1", ky="1", extra=(), truncation=12):
     })
 
 
+# a Type A potential on the fully looped 2-vertex quiver, not yet monomial
+TYPE_A_INPUT = {
+    "quiver": {"n": 2, "loopless": []},
+    "truncation": 12,
+    "terms": [
+        {"coeff": "1", "arrows": ["a1", "a2", "b2"]},
+        {"coeff": "1", "arrows": ["b2", "a2", "a3"]},
+        {"coeff": "1", "arrows": ["a1", "a1", "a1"]},
+        {"coeff": "1/2", "arrows": ["a1", "a2", "b2", "a1"]},
+    ],
+}
+
+# the power table of x^3 + xy lifted to the full 3-vertex doubled path
+KAPPA_INPUT = {
+    "n": 3,
+    "kappa": [
+        {"i": 1, "j": 2, "coeff": "-1/2"},
+        {"i": 2, "j": 2, "coeff": "-1"},
+        {"i": 3, "j": 2, "coeff": "-1/2"},
+        {"i": 4, "j": 2, "coeff": "-1"},
+        {"i": 5, "j": 2, "coeff": "-1/2"},
+        {"i": 2, "j": 3, "coeff": "1"},
+    ],
+}
+
+
 def test_jdim_exact_with_quotients(tmp_path, capsys):
     path = two_cycle_file(tmp_path)
     code, payload = run(capsys, "jdim", "--input", path,
@@ -55,16 +82,7 @@ def test_jdim_lower_bound_exits_two(tmp_path, capsys):
 
 
 def test_monomialize_emits_kappa_and_witness(tmp_path, capsys):
-    path = write(tmp_path, "g.json", {
-        "quiver": {"n": 2, "loopless": []},
-        "truncation": 12,
-        "terms": [
-            {"coeff": "1", "arrows": ["a1", "a2", "b2"]},
-            {"coeff": "1", "arrows": ["b2", "a2", "a3"]},
-            {"coeff": "1", "arrows": ["a1", "a1", "a1"]},
-            {"coeff": "1/2", "arrows": ["a1", "a2", "b2", "a1"]},
-        ],
-    })
+    path = write(tmp_path, "g.json", TYPE_A_INPUT)
     code, payload = run(capsys, "monomialize", "--input", path, "--emit-substitution")
     assert code == 0
     assert payload["checks"] == {"soundness": True, "dim_invariant": True}
@@ -89,17 +107,7 @@ def test_typea_check_verdicts(tmp_path, capsys):
 
 
 def test_realize_presentation_fields(tmp_path, capsys):
-    path = write(tmp_path, "k.json", {
-        "n": 3,
-        "kappa": [
-            {"i": 1, "j": 2, "coeff": "-1/2"},
-            {"i": 2, "j": 2, "coeff": "-1"},
-            {"i": 3, "j": 2, "coeff": "-1/2"},
-            {"i": 4, "j": 2, "coeff": "-1"},
-            {"i": 5, "j": 2, "coeff": "-1/2"},
-            {"i": 2, "j": 3, "coeff": "1"},
-        ],
-    })
+    path = write(tmp_path, "k.json", KAPPA_INPUT)
     code, payload = run(capsys, "realize", "--input", path, "--anchor", "2")
     assert code == 0
     assert payload["gs"][2] == ["y"] and payload["gs"][3] == ["x"]
@@ -203,3 +211,26 @@ def test_low_truncation_rejected(tmp_path, capsys, degree):
     path = two_cycle_file(tmp_path)
     assert main(["jdim", "--input", path, "--max-degree", str(degree)]) == 1
     assert "at least 4" in capsys.readouterr().err
+
+
+def _pinned_args(tmp_path, command):
+    if command == "monomialize":
+        return ["--input", write(tmp_path, "g.json", TYPE_A_INPUT), "--emit-substitution"]
+    if command == "a3 classify":
+        return ["--input", two_cycle_file(tmp_path), "--emit-substitution"]
+    return ["--input", write(tmp_path, "k.json", KAPPA_INPUT), "--anchor", "2"]
+
+
+# SHA-256 of stdout; refactors must leave every byte of these outputs alone
+PINNED_STDOUT = {
+    "monomialize": "902bb174f1660dc39f942518c3d4cf42f6b4691e9a1a0a29162147064ef40968",
+    "a3 classify": "f3e1c8a51a4055e2e9d096c1e07be715e5c8216b2a1aee10c83f3b8e853e09f8",
+    "realize": "39a05f5d3b76168a5f36960cd089c6320dff26b1bd0d39d994d5f9b30301fd78",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(tmp_path, capsys, command):
+    assert main(command.split() + _pinned_args(tmp_path, command)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]

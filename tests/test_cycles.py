@@ -3,6 +3,7 @@ import pytest
 from qpcalc.field import QQ
 from qpcalc.cycles import Potential, canonical_cycle, cycle_from_slots, x_monomial
 from qpcalc.quiver import double_an
+from qpcalc.serialize import potential_from_json, potential_to_json
 
 
 def test_rotations_collapse_to_one_term():
@@ -39,31 +40,17 @@ def test_cycle_from_slots_rejects_non_closing():
         cycle_from_slots(q, [(2, True), (1, False)])  # x2' sits at vertex 2, x1 at vertex 1
 
 
-def test_project_selectors():
-    q = double_an(3)  # m = 5
-    f = (
-        x_monomial(q, 12, [(1, False), (2, False)])  # x1 x2, support [1,2]
-        + x_monomial(q, 12, [(3, False), (3, False), (3, False)])  # x3^3
-        + x_monomial(q, 12, [(2, True), (3, False)])  # x2' x3, support [2,3]
-    )
-    assert len(f.project("xdeg_eq", 2).terms) == 2
-    assert len(f.project("xdeg_lt", 3).terms) == 2
-    assert len(f.project("block", 2, 3).terms) == 2
-    assert len(f.project("through", 1).terms) == 1
-    assert f.min_x_degree() == 2
-
-
 def test_json_round_trip_is_canonical():
     q = double_an(3, loopless=[1, 2, 3])
     f = Potential(q, 9)
     f.add_cycle(q.word_from_names(["a2", "b2", "b1", "a1"]), QQ(-3, 7))
     f.add_cycle(q.word_from_names(["b1", "a1"]), 2)
-    blob = f.to_json_dict()
+    blob = potential_to_json(f)
     assert blob["quiver"] == {"n": 3, "loopless": [1, 2, 3]}
     # shortest cycle first, canonical rotation spelled from the minimal arrow
     assert blob["terms"][0]["arrows"] == ["a1", "b1"]
-    g = Potential.from_json_dict(blob)
-    assert g.to_json_dict() == blob
+    g = potential_from_json(blob)
+    assert potential_to_json(g) == blob
 
 
 def test_truncation_drops_long_cycles_on_entry():

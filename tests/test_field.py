@@ -1,4 +1,4 @@
-from qpcalc.field import QQ, is_square, nth_root, rational, rational_str
+from qpcalc.field import QQ, nth_root, rational, rational_str
 
 
 def test_rational_parse_and_render():
@@ -22,8 +22,3 @@ def test_nth_root_huge_values():
     base = QQ(10**40 + 9)
     assert nth_root(base**3, 3) == base
     assert nth_root(base**3 + 1, 3) is None
-
-
-def test_is_square():
-    assert is_square(QQ(49, 64))
-    assert not is_square(QQ(3))

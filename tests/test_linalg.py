@@ -1,5 +1,5 @@
 from qpcalc.field import QQ
-from qpcalc.linalg import RowSpace, det_dense, rank_of, solve_dense
+from qpcalc.linalg import RowSpace, det_dense, rank_of
 
 
 def test_rowspace_rank_and_membership():
@@ -31,10 +31,3 @@ def test_det_dense():
         [QQ(0), QQ(0), QQ(3)],
     ]
     assert det_dense(m) == QQ(-3)
-
-
-def test_solve_dense():
-    m = [[QQ(2), QQ(1)], [QQ(1), QQ(-1)]]
-    sol = solve_dense(m, [QQ(4), QQ(-1)])
-    assert sol == [QQ(1), QQ(2)]
-    assert solve_dense([[QQ(1), QQ(1)], [QQ(2), QQ(2)]], [QQ(1), QQ(2)]) is None

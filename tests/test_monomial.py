@@ -65,7 +65,7 @@ def test_already_monomial_is_untouched():
     q = double_an(3, [1, 2, 3])
     lam = QQ(5, 7)
     f = potential_from_kappa(q, 10, {(1, 2): QQ(1), (2, 2): lam})
-    g, mono, sub = monomialize(f, emit_substitution=True)
+    g, mono, sub = monomialize(f)
     assert g == f
     assert mono.kappa == {(1, 2): QQ(1), (2, 2): lam}
     assert sub.depth() is None  # identity witness
@@ -76,7 +76,7 @@ def test_skip_pass_exact():
     q = double_an(3, [1, 3])  # slots: edge, loop, edge
     lam = QQ(5)
     f = base(q, 10) + xm(q, 10, [(1, True), (3, False)], lam)
-    g, mono, sub = monomialize(f, emit_substitution=True)
+    g, mono, sub = monomialize(f)
     assert mono.kappa == {(1, 2): -lam}
     assert sub.apply_potential(f) == g
     assert sub.is_unitriangular()
@@ -87,7 +87,7 @@ def test_higher_pass_loop_case():
     q = double_an(2)
     D = 9
     f = base(q, D) + xm(q, D, [1, 1, 2], QQ(3)) + xm(q, D, [3, 3, 3])
-    g, mono, sub = monomialize(f, emit_substitution=True)
+    g, mono, sub = monomialize(f)
     assert sub.apply_potential(f) == g
     # nothing ever lands on pure powers of the first loop
     assert all(i != 1 for (i, j) in mono.kappa)
@@ -100,7 +100,7 @@ def test_higher_pass_pair_case():
     q = double_an(2)
     D = 9
     f = base(q, D) + xm(q, D, [(2, True), (3, False), (3, False)], QQ(2))
-    g, mono, sub = monomialize(f, emit_substitution=True)
+    g, mono, sub = monomialize(f)
     assert sub.apply_potential(f) == g
     assert extract_monomial(g) is not None
     assert fingerprint(f, 9) == fingerprint(g, 9)

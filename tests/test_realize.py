@@ -12,7 +12,7 @@ from qpcalc.realize import (
     contraction_relations,
     emit_presentation,
     h_row,
-    skip_pair_rank,
+    pair_rank,
     solve_g_system,
 )
 
@@ -81,7 +81,7 @@ def test_skip_rank_detects_square_coefficient():
             gs = solve_g_system(n, kappa)
             for s in range(1, m + 1):
                 expect_full = kappa.get((s, 2), QQ(0)) != 0
-                assert (skip_pair_rank(gs, s) == 2) == expect_full
+                assert (pair_rank(gs[s - 1], gs[s + 1]) == 2) == expect_full
 
 
 def test_contraction_relations_match_derivatives():

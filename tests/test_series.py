@@ -42,11 +42,3 @@ def test_lazy_paths_are_units_at_their_vertex():
     assert (e1 * a1) == a1
     assert (a1 * e2) == a1
     assert (a1 * e1).is_zero()
-
-
-def test_weight_component_picks_one_layer():
-    q = double_an(1)
-    a = NCElement.arrow(q, 8, "a1")
-    s = a + (a * a).scale(QQ(1, 2))
-    assert s.weight_component(2).coeff((1, (0, 0))) == QQ(1, 2)
-    assert s.weight_component(3).is_zero()
