@@ -19,7 +19,7 @@ complex of right-multiplication maps.
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .field import QQ
 from .linalg import rank_of

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cycles import Potential
-from .field import QQ, ZERO
+from .field import QQ
 from .linalg import RowSpace
 from .quiver import Quiver, Word
 from .series import NCElement

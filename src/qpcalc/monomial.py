@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .cycles import Potential, canonical_cycle
+from .cycles import Potential
 from .field import QQ, ZERO
 from .quiver import DoubledPathQuiver, Word, double_an
 from .series import NCElement

@@ -47,6 +47,8 @@ class Quiver:
         self._tails = tuple(a.tail for a in self.arrows)
         self._heads = tuple(a.head for a in self.arrows)
         self._weights = tuple(a.weight for a in self.arrows)
+        # doubled quivers weigh 1 per arrow, so a word's weight is its length
+        self._unit = all(w == 1 for w in self._weights)
         self.arrows_by_tail = {v: tuple(a for a in self.arrows if a.tail == v) for v in self.vertices}
 
     # -- word primitives ---------------------------------------------------
@@ -72,6 +74,8 @@ class Quiver:
         return tuple(self.arrows[i].name for i in word[1])
 
     def weight_of(self, word: Word) -> int:
+        if self._unit:
+            return len(word[1])
         return sum(self._weights[i] for i in word[1])
 
     def concat(self, left: Word, right: Word) -> Optional[Word]:

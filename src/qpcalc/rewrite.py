@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .field import QQ, ZERO
+from .field import ONE, QQ, ZERO
 from .quiver import Quiver, Word
 from .series import NCElement
 
@@ -176,7 +176,7 @@ class ReductionSystem:
                 continue
             redex = self._find_redex(w)
             if redex is None:
-                cache[w] = {w: QQ(1)}
+                cache[w] = {w: ONE}
                 stack.pop()
                 continue
             expansion = self._rewrite_once(w, *redex)
@@ -206,7 +206,9 @@ class ReductionSystem:
                     out.pop(v, None)
                 else:
                     out[v] = s
-        return NCElement(self.quiver, self.truncation, out)
+        res = NCElement(self.quiver, self.truncation)
+        res.terms = out
+        return res
 
     def reduce_random(self, el: NCElement, rng) -> NCElement:
         """Reduce with a randomized redex schedule (no memoization)."""

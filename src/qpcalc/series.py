@@ -92,18 +92,23 @@ class NCElement:
     def __mul__(self, other: "NCElement") -> "NCElement":
         self._compatible(other)
         quiver, cap = self.quiver, self.truncation
+        weight = quiver.weight_of
+        # right factors by tail vertex, in term order, weighed once
+        by_tail: Dict[int, list] = {}
+        for rw, rc in other.terms.items():
+            by_tail.setdefault(rw[0], []).append((rw[1], weight(rw), rc))
         out: Dict[Word, QQ] = {}
         heads = quiver.head_of
-        weight = quiver.weight_of
         for lw, lc in self.terms.items():
-            lhead = heads(lw)
-            lweight = weight(lw)
-            for rw, rc in other.terms.items():
-                if rw[0] != lhead:
+            rights = by_tail.get(heads(lw))
+            if not rights:
+                continue
+            room = cap - weight(lw)
+            ltail, lids = lw
+            for rids, rweight, rc in rights:
+                if rweight >= room:
                     continue
-                if lweight + weight(rw) >= cap:
-                    continue
-                word = (lw[0], lw[1] + rw[1])
+                word = (ltail, lids + rids)
                 acc = out.get(word, ZERO) + lc * rc
                 if acc == 0:
                     out.pop(word, None)
@@ -141,8 +146,18 @@ class NCElement:
         return max(self.quiver.weight_of(w) for w in self.terms)
 
     def truncate(self, truncation: int) -> "NCElement":
-        """Reinterpret at a (usually lower) truncation, dropping overflow."""
-        return NCElement(self.quiver, truncation, dict(self.terms))
+        """Reinterpret at another truncation; going down drops the overflow.
+
+        Terms are already nonzero rationals below ``self.truncation``, so
+        going up copies them and going down only filters by weight.
+        """
+        res = NCElement(self.quiver, truncation)
+        if truncation >= self.truncation:
+            res.terms = dict(self.terms)
+        else:
+            weight = self.quiver.weight_of
+            res.terms = {w: c for w, c in self.terms.items() if weight(w) < truncation}
+        return res
 
     def items(self) -> Iterable[Tuple[Word, QQ]]:
         return self.terms.items()

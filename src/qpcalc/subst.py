@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-from .field import QQ, ZERO
+from .field import ONE, QQ, ZERO
 from .linalg import det_dense
 from .quiver import Quiver, Word
 from .series import NCElement
@@ -48,20 +48,37 @@ class Substitution:
     # -- application -------------------------------------------------------
 
     def apply_word(self, word: Word) -> NCElement:
+        quiver, cap = self.quiver, self.truncation
+        weight = quiver.weight_of
         tail, ids = word
-        acc = NCElement.lazy(self.quiver, self.truncation, tail)
+        acc = NCElement(quiver, cap)
+        acc.terms = {(tail, ()): ONE}
         for idx in ids:
-            acc = acc * self.image_of(idx)
+            img = self.images.get(idx)
+            if img is not None:
+                acc = acc * img
+            else:
+                # a fixed arrow only extends each word; no product needed
+                step = quiver.arrows[idx].weight
+                acc.terms = {(t, w + (idx,)): c for (t, w), c in acc.terms.items()
+                             if weight((t, w)) + step < cap}
             if acc.is_zero():
                 break
         return acc
 
     def apply_element(self, el: NCElement) -> NCElement:
         assert el.quiver is self.quiver
-        out = NCElement.zero(self.quiver, self.truncation)
+        out: Dict[Word, QQ] = {}
         for word, coeff in el.terms.items():
-            out = out + self.apply_word(word).scale(coeff)
-        return out
+            for w, c in self.apply_word(word).terms.items():
+                acc = out.get(w, ZERO) + coeff * c
+                if acc == 0:
+                    out.pop(w, None)
+                else:
+                    out[w] = acc
+        res = NCElement(self.quiver, self.truncation)
+        res.terms = out
+        return res
 
     def apply_potential(self, f: Potential) -> Potential:
         assert f.quiver is self.quiver
@@ -127,14 +144,28 @@ def compose(first: Substitution, second: Substitution) -> Substitution:
     """Substitution doing ``first`` then ``second``."""
     assert first.quiver is second.quiver and first.truncation == second.truncation
     touched = set(first.images) | set(second.images)
-    images = {i: second.apply_element(first.image_of(i)) for i in touched}
+    # an arrow that ``first`` fixes keeps its image under ``second`` as is
+    images = {i: second.apply_element(first.images[i]) if i in first.images else second.images[i]
+              for i in touched}
     out = Substitution(first.quiver, first.truncation)
     out.images = images
     return out
 
 
 def compose_chain(subs, quiver: Quiver, truncation: int) -> Substitution:
+    """Substitution doing ``subs[0]``, then ``subs[1]``, and so on.
+
+    The product is folded from the right, ``acc = compose(s, acc)`` over
+    ``reversed(subs)``, so each step feeds only its own images, which are
+    short, through the accumulated map. A left fold would instead push
+    every step through the accumulated images, which keep growing. The
+    results agree because composition of truncated algebra homomorphisms
+    is associative here: no arrow image has a term lighter than its arrow
+    (true of every substitution the package builds), so each step maps
+    paths of weight >= ``truncation`` to paths of weight >= ``truncation``
+    and truncating between steps loses nothing.
+    """
     acc = Substitution.identity(quiver, truncation)
-    for s in subs:
-        acc = compose(acc, s)
+    for s in reversed(subs):
+        acc = compose(s, acc)
     return acc

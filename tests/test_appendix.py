@@ -24,6 +24,18 @@ def test_quiver_shape():
     assert q.loop(0, 2) < q.loop(0, 1) < q.loop(0, 0)
 
 
+def test_weight_counts_each_loop_twice():
+    q = appendix_quiver(2)
+    words = [
+        (0, (q.loop(0, 1),)),
+        (0, (q.a(0), q.loop(1, 2), q.b(0))),
+        (1, (q.loop(1, 0), q.loop(1, 2), q.a(1), q.b(1))),
+    ]
+    for w in words:
+        assert q.weight_of(w) == sum(q.arrows[i].weight for i in w[1])
+    assert [q.weight_of(w) for w in words] == [2, 4, 6]
+
+
 def test_reduce_loop_past_arrow_pair():
     system = appendix_system(2, 12)
     q = system.quiver

@@ -111,3 +111,24 @@ def test_interreduction_keeps_leads_irreducible():
             assert not any(ids[i : i + len(o)] == o for i in range(len(ids)))
     # u^3 = v and u^2 = 0 force v = 0
     assert sys.reduce(v).is_zero()
+
+
+def test_reduce_leaves_no_zero_and_nothing_heavy():
+    q = two_loop_quiver()
+    D = 6
+    uv = NCElement.from_word(q, D, word(q, ["u", "v"]))
+    vu = NCElement.from_word(q, D, word(q, ["v", "u"]))
+    sys = system_from_relations(q, D, [uv - vu])
+    big = D + 3
+    terms = {
+        word(q, ["u", "v"]): 1,  # cancels against vu below
+        word(q, ["v", "u"]): -1,
+        word(q, ["u", "u", "v"]): QQ(2, 3),  # normal form v u u
+        word(q, ["u"] * D): 5,  # weight D: gone
+        word(q, ["u", "v"] * 4): 1,  # weight 8: gone
+    }
+    out = sys.reduce(NCElement(q, big, terms))
+    assert out.truncation == D
+    assert all(c != 0 for c in out.terms.values())
+    assert all(q.weight_of(w) < D for w in out.terms)
+    assert out.terms == {word(q, ["v", "u", "u"]): QQ(2, 3)}

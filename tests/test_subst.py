@@ -1,8 +1,10 @@
+from hypothesis import given, settings, strategies as st
+
 from qpcalc.field import QQ
 from qpcalc.cycles import x_monomial
 from qpcalc.quiver import double_an
 from qpcalc.series import NCElement
-from qpcalc.subst import Substitution, compose
+from qpcalc.subst import Substitution, compose, compose_chain
 
 
 def quiver_a3():
@@ -74,3 +76,61 @@ def test_compose_against_sequential_application():
     once = s2.apply_potential(s1.apply_potential(f))
     combined = compose(s1, s2).apply_potential(f)
     assert once == combined
+
+
+A2 = double_an(2)  # loops at both vertices: a1, a2: 1 -> 2, b2: 2 -> 1, a3
+
+
+def paths(q, tail, head, min_len, max_len):
+    """Every word from tail to head with min_len <= length <= max_len."""
+    out, frontier = [], [(tail, ())]
+    for length in range(1, max_len + 1):
+        frontier = [(tail, w[1] + (a.index,)) for w in frontier
+                    for a in q.arrows_by_tail[q.head_of(w)]]
+        if length >= min_len:
+            out.extend(w for w in frontier if q.head_of(w) == head)
+    return out
+
+
+@st.composite
+def unitriangular(draw, D):
+    """Each arrow to itself plus up to two longer words with small coefficients."""
+    q = A2
+    images = {}
+    for a in draw(st.sets(st.sampled_from(q.arrows), max_size=len(q.arrows))):
+        el = NCElement.arrow(q, D, a.name)
+        for w in draw(st.lists(st.sampled_from(paths(q, a.tail, a.head, 2, D - 1)),
+                               max_size=2, unique=True)):
+            coeff = QQ(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 3)))
+            el = el + NCElement.from_word(q, D, w, coeff)
+        images[a.name] = el
+    return Substitution(q, D, images)
+
+
+def images_of(s):
+    return {i: s.image_of(i).terms for i in range(len(s.quiver.arrows))}
+
+
+@st.composite
+def chain(draw, min_size, max_size):
+    D = draw(st.integers(3, 7))
+    return draw(st.lists(unitriangular(D), min_size=min_size, max_size=max_size))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(chain(3, 3))
+def test_compose_is_associative(steps):
+    s1, s2, s3 = steps
+    assert images_of(compose(compose(s1, s2), s3)) == images_of(compose(s1, compose(s2, s3)))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(chain(0, 5))
+def test_compose_chain_matches_step_by_step_left_fold(steps):
+    D = steps[0].truncation if steps else 5
+    left = Substitution.identity(A2, D)
+    for s in steps:
+        left = compose(left, s)
+    right = compose_chain(steps, A2, D)
+    assert images_of(right) == images_of(left)
+    assert sorted(right.images) == sorted(left.images)
