@@ -35,7 +35,7 @@ from .appendix import appendix_checks, exactness_check
 from .cycles import Potential
 from .field import QQ, rational, rational_str
 from .jacobi import EXACT, DimensionReport, jdim
-from .monomial import monomialize, type_a_report
+from .monomial import PreconditionError, monomialize, type_a_report
 from .quiver import DoubledPathQuiver
 from .realize import contraction_relations, emit_presentation, solve_g_system
 from .serialize import (
@@ -376,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SchemaError as exc:
         print(f"qp: schema error: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
+    except (PreconditionError, AssertionError) as exc:
         print(f"qp: precondition failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -4,9 +4,8 @@ The relation set of a potential is its cyclic derivative along every
 arrow. Dimensions are counted modulo m^D (paths of weight >= D vanish)
 with a certificate:
 
-* ``Exact``: completion covered every ambiguity below D, an empty weight
-  window at the top shows no irreducible word can continue past it, and a
-  rerun at D+2 reproduces the same counts.
+* ``Exact``: completion covered every ambiguity below D, and an empty
+  weight window at the top shows no irreducible word can continue past it.
 * ``LowerBound``: the count is dim(algebra / m^D), a lower bound for the
   (possibly infinite) true dimension.
 """
@@ -23,7 +22,7 @@ from .field import QQ
 from .linalg import RowSpace
 from .quiver import Quiver, Word
 from .series import NCElement
-from .rewrite import ReductionSystem, system_from_relations
+from .rewrite import system_from_relations
 
 EXACT = "Exact"
 LOWER_BOUND = "LowerBound"
@@ -77,7 +76,7 @@ class DimensionReport:
         return (self.value, self.certificate)
 
 
-def _count_run(quiver: Quiver, relations: List[NCElement], truncation: int) -> Tuple[List[int], bool, ReductionSystem]:
+def _count_run(quiver: Quiver, relations: List[NCElement], truncation: int) -> Tuple[List[int], bool]:
     """Counts per weight plus a soundness flag for 'nothing lives on'.
 
     Once the counts end with an empty window wider than the heaviest
@@ -92,25 +91,36 @@ def _count_run(quiver: Quiver, relations: List[NCElement], truncation: int) -> T
     gap = max(a.weight for a in quiver.arrows) if quiver.arrows else 1
     top = max((i for i, c in enumerate(counts) if c), default=-1)
     closed = top + gap + 2 <= truncation
-    return counts, closed, system
+    return counts, closed
 
 
 def jdim(f: Potential, truncation: Optional[int] = None, quotient_vertices: Sequence[int] = ()) -> DimensionReport:
-    """Dimension of Jac(f), optionally after deleting vertex idempotents."""
+    """Dimension of Jac(f), optionally after deleting vertex idempotents.
+
+    One completion at D decides the certificate: ``Exact`` exactly when
+    its trailing window is closed (see ``_count_run``). A second
+    completion at D+2 could not change that verdict:
+
+    * The counts below D agree. Under the local order (lead = lightest
+      word) the irreducible words of weight k < D span gr_k of
+      A/(I + m^D), and gr_k(A/(I + m^D)) = gr_k(A/(I + m^(D+2))) for
+      k < D, since m^D and m^(D+2) both lie in weights >= D (standard
+      bases for local orderings: Mora, TCS 134, 1994; Greuel-Pfister,
+      A Singular Introduction to Commutative Algebra, ch. 1).
+    * The D+2 counts at D and D+1 are zero. An empty window wider than
+      the heaviest arrow below D leaves no irreducible word to extend
+      past it, since every prefix of an irreducible word is irreducible.
+
+    So the D+2 run is closed with counts padded by two zeros whenever
+    the D run is closed, which is what the rerun used to check.
+    """
     truncation = truncation or f.truncation
     relations = jacobi_relations(f.truncate(truncation))
     quiver = f.quiver
     if quotient_vertices:
         quiver, relations = delete_vertices(quiver, relations, quotient_vertices, truncation)
-    counts, empty, _ = _count_run(quiver, relations, truncation)
-    value = sum(counts)
-    if not empty:
-        return DimensionReport(value, LOWER_BOUND, truncation, tuple(counts))
-    recounts, re_empty, _ = _count_run(quiver, relations, truncation + 2)
-    padded = list(counts) + [0, 0]
-    if re_empty and recounts == padded:
-        return DimensionReport(value, EXACT, truncation, tuple(counts))
-    return DimensionReport(value, LOWER_BOUND, truncation, tuple(counts))
+    counts, closed = _count_run(quiver, relations, truncation)
+    return DimensionReport(sum(counts), EXACT if closed else LOWER_BOUND, truncation, tuple(counts))
 
 
 @dataclass

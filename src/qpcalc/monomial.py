@@ -32,6 +32,10 @@ from .subst import Substitution, compose_chain
 MAX_PASSES = 20000
 
 
+class PreconditionError(ValueError):
+    """The input lies outside what a pipeline accepts (not Type A, not reduced)."""
+
+
 # -- term taxonomy ---------------------------------------------------------------
 
 
@@ -254,10 +258,13 @@ def monomialize(f: Potential) -> Tuple[Potential, MonomialReport, Substitution]:
     """Transform a reduced Type A potential to monomial form below its truncation.
 
     The returned substitution sends f to the monomial output exactly.
+    Raises PreconditionError when f is not Type A or not reduced.
     """
     report = type_a_report(f)
-    assert report.is_type_a, f"missing consecutive products at {report.missing_middles}"
-    assert report.reduced, f"loop squares present at {report.loop_squares}"
+    if not report.is_type_a:
+        raise PreconditionError(f"missing consecutive products at {report.missing_middles}")
+    if not report.reduced:
+        raise PreconditionError(f"loop squares present at {report.loop_squares}")
     g, steps = _monomialize_core(f)
     mono = extract_monomial(g)
     assert mono is not None, "normalization left a non-monomial term"

@@ -154,11 +154,15 @@ class ReductionSystem:
             new = (tail_vertex, ids[:pos] + mids + ids[pos + lead_len :])
             if self.quiver.weight_of(new) >= cap:
                 continue
-            acc = out.get(new, ZERO) + coeff
-            if acc == 0:
-                out.pop(new, None)
+            old = out.get(new)
+            if old is None:
+                out[new] = coeff
             else:
-                out[new] = acc
+                s = old + coeff
+                if s:
+                    out[new] = s
+                else:
+                    del out[new]
         return out
 
     # -- normal forms ---------------------------------------------------------------
@@ -187,11 +191,17 @@ class ReductionSystem:
             acc: Dict[Word, QQ] = {}
             for u, c in expansion.items():
                 for v, cv in cache[u].items():
-                    s = acc.get(v, ZERO) + c * cv
-                    if s == 0:
-                        acc.pop(v, None)
+                    # irreducible words cache the shared ONE: skip that product
+                    t = c if cv is ONE else c * cv
+                    old = acc.get(v)
+                    if old is None:
+                        acc[v] = t
                     else:
-                        acc[v] = s
+                        s = old + t
+                        if s:
+                            acc[v] = s
+                        else:
+                            del acc[v]
             cache[w] = acc
             stack.pop()
         return cache[word]
@@ -201,11 +211,16 @@ class ReductionSystem:
         out: Dict[Word, QQ] = {}
         for word, coeff in el.truncate(self.truncation).terms.items():
             for v, cv in self.normal_form_word(word).items():
-                s = out.get(v, ZERO) + coeff * cv
-                if s == 0:
-                    out.pop(v, None)
+                t = coeff if cv is ONE else coeff * cv
+                old = out.get(v)
+                if old is None:
+                    out[v] = t
                 else:
-                    out[v] = s
+                    s = old + t
+                    if s:
+                        out[v] = s
+                    else:
+                        del out[v]
         res = NCElement(self.quiver, self.truncation)
         res.terms = out
         return res

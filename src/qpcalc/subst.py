@@ -14,7 +14,7 @@ from .field import ONE, QQ, ZERO
 from .linalg import det_dense
 from .quiver import Quiver, Word
 from .series import NCElement
-from .cycles import Potential
+from .cycles import Potential, canonical_cycle
 
 
 class Substitution:
@@ -82,11 +82,26 @@ class Substitution:
 
     def apply_potential(self, f: Potential) -> Potential:
         assert f.quiver is self.quiver
-        out = Potential(self.quiver, min(f.truncation, self.truncation))
+        quiver = self.quiver
+        weight = quiver.weight_of
+        out = Potential(quiver, min(f.truncation, self.truncation))
+        cap = out.truncation
+        terms = out.terms
         for word, coeff in f.terms.items():
-            img = self.apply_word(word)
-            for w, c in img.terms.items():
-                out.add_cycle(w, coeff * c)
+            for w, c in self.apply_word(word).terms.items():
+                if weight(w) >= cap:
+                    continue
+                key = canonical_cycle(quiver, w)
+                t = coeff * c
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = t
+                else:
+                    s = old + t
+                    if s:
+                        terms[key] = s
+                    else:
+                        del terms[key]
         return out
 
     # -- structure -----------------------------------------------------------

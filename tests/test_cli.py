@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,20 @@ def test_malformed_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_monomialize_precondition_survives_optimize(tmp_path):
+    """Under python -O a violated precondition still exits 1 with a message."""
+    path = two_cycle_file(tmp_path, kxy="0")  # not Type A
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-O", "-m", "qpcalc.cli", "monomialize",
+                           "--input", path], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr.startswith("qp: precondition failed: missing consecutive products")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_output_bytes_are_stable(tmp_path, capsys):
     path = two_cycle_file(tmp_path)
     main(["jdim", "--input", path])
@@ -213,12 +231,21 @@ def test_low_truncation_rejected(tmp_path, capsys, degree):
     assert "at least 4" in capsys.readouterr().err
 
 
-def _pinned_args(tmp_path, command):
-    if command == "monomialize":
-        return ["--input", write(tmp_path, "g.json", TYPE_A_INPUT), "--emit-substitution"]
-    if command == "a3 classify":
-        return ["--input", two_cycle_file(tmp_path), "--emit-substitution"]
-    return ["--input", write(tmp_path, "k.json", KAPPA_INPUT), "--anchor", "2"]
+def _pinned_argv(tmp_path, case):
+    """Full argv for one pinned case; a case name starts with its subcommand."""
+    if case == "monomialize":
+        return ["monomialize", "--input", write(tmp_path, "g.json", TYPE_A_INPUT),
+                "--emit-substitution"]
+    if case == "a3 classify":
+        return ["a3", "classify", "--input", two_cycle_file(tmp_path), "--emit-substitution"]
+    if case == "jdim exact":
+        return ["jdim", "--input", two_cycle_file(tmp_path),
+                "--quotient-vertex", "1", "--quotient-vertex", "3"]
+    if case == "jdim lower_bound":
+        # x^2 + xy + y^2/4 is infinite-dimensional; deleting vertex 1 is not
+        return ["jdim", "--input", two_cycle_file(tmp_path, ky="1/4", truncation=10),
+                "--quotient-vertex", "1"]
+    return ["realize", "--input", write(tmp_path, "k.json", KAPPA_INPUT), "--anchor", "2"]
 
 
 # SHA-256 of stdout; refactors must leave every byte of these outputs alone
@@ -226,11 +253,16 @@ PINNED_STDOUT = {
     "monomialize": "902bb174f1660dc39f942518c3d4cf42f6b4691e9a1a0a29162147064ef40968",
     "a3 classify": "f3e1c8a51a4055e2e9d096c1e07be715e5c8216b2a1aee10c83f3b8e853e09f8",
     "realize": "39a05f5d3b76168a5f36960cd089c6320dff26b1bd0d39d994d5f9b30301fd78",
+    "jdim exact": "dc3f4536cf46164ec14a6c4ac42b137c4af098fe4c17437b3a05ec122a0fc730",
+    "jdim lower_bound": "8387cd30962a58b94f8eba8d069a272a53b94bc88d662ad5526bd384a0c1e6af",
 }
 
+# a lower-bound dimension is inconclusive; every other pinned case exits 0
+PINNED_EXIT = {"jdim lower_bound": 2}
 
-@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
-def test_stdout_bytes_are_pinned(tmp_path, capsys, command):
-    assert main(command.split() + _pinned_args(tmp_path, command)) == 0
+
+@pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    assert main(_pinned_argv(tmp_path, case)) == PINNED_EXIT.get(case, 0)
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[case]

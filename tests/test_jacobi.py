@@ -1,8 +1,12 @@
-from qpcalc.cycles import Potential, x_monomial
+from hypothesis import given, settings, strategies as st
+
+import qpcalc.jacobi as jacobi
+from qpcalc.cycles import Potential, canonical_cycle, x_monomial
 from qpcalc.field import QQ
 from qpcalc.jacobi import (
     EXACT,
     LOWER_BOUND,
+    all_paths,
     fingerprint,
     jacobi_relations,
     jdim,
@@ -11,6 +15,7 @@ from qpcalc.jacobi import (
     vertex_commutativity,
 )
 from qpcalc.quiver import double_an
+from qpcalc.rewrite import system_from_relations
 
 
 def base_quiver():
@@ -113,3 +118,61 @@ def test_same_ideal_mutual_reduction():
     assert same_ideal_below(q, rels, scaled, 10)
     other = jacobi_relations(xy_potential(q, 10, ky=5))
     assert not same_ideal_below(q, rels, other, 10)
+
+
+def test_one_completion_per_jdim(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return system_from_relations(*args)
+
+    monkeypatch.setattr(jacobi, "system_from_relations", counting)
+    f = xy_potential(base_quiver(), 12)
+    assert jdim(f, 12).as_pair() == (20, EXACT)
+    assert calls == [12]
+    assert jdim(f, 12, quotient_vertices=[1]).as_pair() == (6, EXACT)
+    assert calls == [12, 12]
+
+
+def _two_completion_certificate(quiver, relations, D):
+    """The rule jdim used to apply: a closed window at D, then a rerun at
+    D + 2 that is closed too and only pads the counts with zeros."""
+    gap = max(a.weight for a in quiver.arrows)
+
+    def run(t):
+        system = system_from_relations(quiver, t, [r.truncate(t) for r in relations])
+        counts = system.irreducible_counts(t)
+        top = max((i for i, c in enumerate(counts) if c), default=-1)
+        return counts, top + gap + 2 <= t
+
+    counts, closed = run(D)
+    if not closed:
+        return LOWER_BOUND
+    recounts, re_closed = run(D + 2)
+    return EXACT if re_closed and recounts == counts + [0, 0] else LOWER_BOUND
+
+
+@st.composite
+def small_potential(draw):
+    """2-5 random cycles of length 2-4 on double_an(2..3), D = 6..9."""
+    n = draw(st.integers(2, 3))
+    loopless = draw(st.sets(st.integers(1, n)))
+    q = double_an(n, loopless)
+    D = draw(st.integers(6, 9))
+    cycles = sorted({canonical_cycle(q, w) for w in all_paths(q, 5)
+                     if len(w[1]) >= 2 and q.head_of(w) == w[0]})
+    f = Potential(q, D)
+    for word in draw(st.lists(st.sampled_from(cycles), min_size=2, max_size=5, unique=True)):
+        f.add_cycle(word, QQ(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 3))))
+    return f
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(small_potential())
+def test_single_completion_matches_oracle_and_rerun(f):
+    D = f.truncation
+    relations = jacobi_relations(f)
+    report = jdim(f, D)
+    assert sum(report.counts) == report.value == jdim_oracle(f.quiver, relations, D)
+    assert report.certificate == _two_completion_certificate(f.quiver, relations, D)

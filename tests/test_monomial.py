@@ -1,7 +1,10 @@
+import pytest
+
 from qpcalc import QQ, double_an
 from qpcalc.cycles import Potential, cycle_from_slots, x_monomial
 from qpcalc.jacobi import fingerprint
 from qpcalc.monomial import (
+    PreconditionError,
     add_loop,
     eliminate_loop,
     extract_monomial,
@@ -46,6 +49,15 @@ def test_type_a_report_kinds():
     h = middle(q, 8, 1) + xm(q, 8, [3, 3])
     rep = type_a_report(h)
     assert rep.kind == "NotTypeA" and rep.missing_middles == (2,)
+
+
+def test_monomialize_rejects_inputs_outside_its_preconditions():
+    q = double_an(2)
+    f = base(q, 8) + xm(q, 8, [3, 3, 3])
+    with pytest.raises(PreconditionError, match="loop squares present at"):
+        monomialize(f + xm(q, 8, [1, 1], QQ(-1, 2)))
+    with pytest.raises(PreconditionError, match="missing consecutive products at"):
+        monomialize(middle(q, 8, 1) + xm(q, 8, [3, 3]))
 
 
 def test_rescale_oracle():

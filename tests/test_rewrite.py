@@ -94,23 +94,26 @@ def test_reduction_is_confluent_after_completion():
 def test_interreduction_keeps_leads_irreducible():
     q = two_loop_quiver()
     D = 8
-    u = NCElement.arrow(q, D, "u")
-    v = NCElement.arrow(q, D, "v")
-    long_rel = NCElement.from_word(q, D, word(q, ["u", "u", "u"])) - v
+    u3 = NCElement.from_word(q, D, word(q, ["u", "u", "u"]))
     short_rel = NCElement.from_word(q, D, word(q, ["u", "u"]))
-    sys = ReductionSystem(q, D)
-    sys.add_relation(long_rel)
-    sys.add_relation(short_rel)  # makes the first lead reducible
-    sys.complete()
-    for rule in sys.rules.values():
-        assert sys._find_redex(rule.lead, skip_rid=None) is not None or True
-        # no lead may contain another lead
-        others = [r.lead[1] for rid, r in sys.rules.items() if r is not rule]
-        ids = rule.lead[1]
-        for o in others:
-            assert not any(ids[i : i + len(o)] == o for i in range(len(ids)))
-    # u^3 = v and u^2 = 0 force v = 0
-    assert sys.reduce(v).is_zero()
+    # u^3 = v (lead v: u^2 = 0 reduces its tail) and u^3 = v^4 (lead u^3:
+    # u^2 = 0 makes the lead reducible, so the rule is retired); together
+    # with u^2 = 0 each forces its right-hand side to vanish
+    for rhs in (["v"], ["v"] * 4):
+        rhs_el = NCElement.from_word(q, D, word(q, rhs))
+        sys = ReductionSystem(q, D)
+        sys.add_relation(u3 - rhs_el)
+        sys.add_relation(short_rel)
+        sys.complete()
+        for rid, rule in sys.rules.items():
+            # every lead is irreducible by the other rules
+            assert sys._find_redex(rule.lead, skip_rid=rid) is None
+            # no lead may contain another lead
+            others = [r.lead[1] for r in sys.rules.values() if r is not rule]
+            ids = rule.lead[1]
+            for o in others:
+                assert not any(ids[i : i + len(o)] == o for i in range(len(ids)))
+        assert sys.reduce(rhs_el).is_zero()
 
 
 def test_reduce_leaves_no_zero_and_nothing_heavy():
