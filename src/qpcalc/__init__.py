@@ -5,7 +5,7 @@ from .quiver import double_an, DoubledPathQuiver, Quiver
 from .series import NCElement
 from .cycles import Potential, canonical_cycle, cycle_from_slots, x_monomial
 from .subst import Substitution, compose, compose_chain
-from .rewrite import ReductionSystem, overlaps, check_resolvable, system_from_relations
+from .rewrite import ReductionSystem, system_from_relations
 from .jacobi import (
     fingerprint,
     jacobi_relations,
@@ -65,8 +65,6 @@ __all__ = [
     "compose",
     "compose_chain",
     "ReductionSystem",
-    "overlaps",
-    "check_resolvable",
     "system_from_relations",
     "fingerprint",
     "jacobi_relations",

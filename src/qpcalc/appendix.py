@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 from .field import QQ
 from .linalg import rank_of
 from .quiver import Quiver, Word
-from .rewrite import ReductionSystem, check_resolvable, overlaps
+from .rewrite import ReductionSystem
 from .series import NCElement
 
 Vec = Dict[Tuple, QQ]
@@ -149,12 +149,9 @@ def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
     q = system.quiver
     report: Dict[str, object] = {"n": n, "max_degree": D}
 
-    witnesses = []
-    ambiguities = overlaps(system)
-    for o in ambiguities:
-        ok, left_nf, right_nf = check_resolvable(o, system)
-        if not ok:
-            witnesses.append(q.format_word(o.word()))
+    ambiguities = list(system.ambiguities())
+    witnesses = [q.format_word(word) for word, s in ambiguities
+                 if not system.reduce(s).is_zero()]
     report["overlaps"] = {"count": len(ambiguities), "pass": not witnesses,
                           "witnesses": witnesses}
 

@@ -85,8 +85,7 @@ def _count_run(quiver: Quiver, relations: List[NCElement], truncation: int) -> T
     an irreducible word is irreducible. The window must sit strictly
     below the truncation so its emptiness is itself certified.
     """
-    rels = [r.truncate(truncation) for r in relations]
-    system = system_from_relations(quiver, truncation, rels)
+    system = system_from_relations(quiver, truncation, relations)
     counts = system.irreducible_counts(truncation)
     gap = max(a.weight for a in quiver.arrows) if quiver.arrows else 1
     top = max((i for i, c in enumerate(counts) if c), default=-1)
@@ -242,8 +241,7 @@ def vertex_commutativity(f: Potential, truncation: Optional[int] = None,
 def same_ideal_below(quiver: Quiver, rels_a: Iterable[NCElement], rels_b: Iterable[NCElement],
                      truncation: int) -> bool:
     """Mutual reduction: the two relation sets generate the same ideal mod m^D."""
-    rels_a = [r.truncate(truncation) for r in rels_a]
-    rels_b = [r.truncate(truncation) for r in rels_b]
+    rels_a, rels_b = list(rels_a), list(rels_b)
     sys_a = system_from_relations(quiver, truncation, rels_a)
     sys_b = system_from_relations(quiver, truncation, rels_b)
     return all(sys_a.reduce(r).is_zero() for r in rels_b) and all(

@@ -8,18 +8,23 @@ On quivers whose arrows all weigh 1 this is plain (length, lex). Each
 rule sends its lead word to a combination of strictly K-larger words, so
 any rewrite chain strictly climbs K and must stop below the truncation.
 
+The rule set is interreduced whenever no call is running: no lead occurs
+inside another, and every tail word is irreducible. ``add_relation``
+keeps this. Before it inserts a rule it retires every rule whose lead
+contains the new lead, so leads never contain one another even inside
+the call, and it re-reduces the tails before it returns. Hence there are
+no inclusion ambiguities, and at most one lead matches at any position
+of a word.
+
 Completion processes every overlap ambiguity whose combined word still
 weighs less than the truncation; dropped ones only involve words at or
-above it, so on exit normal forms below the truncation are unique. The
-rule set is kept interreduced throughout, which also rules out inclusion
-ambiguities.
+above it, so on exit normal forms below the truncation are unique.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .field import ONE, QQ, ZERO
 from .quiver import Quiver, Word
@@ -58,9 +63,6 @@ class ReductionSystem:
     def key(self, word: Word):
         return (self.quiver.weight_of(word), -len(word[1]), word[1])
 
-    def _min_word(self, el: NCElement) -> Word:
-        return min(el.terms, key=self.key)
-
     # -- rule management --------------------------------------------------------
 
     def _index_rule(self, rid: int) -> None:
@@ -74,66 +76,56 @@ class ReductionSystem:
         self._by_last[ids[-1]].remove(rid)
 
     def add_relation(self, el: NCElement) -> Optional[int]:
-        """Absorb one relation; returns the new rule id (None if it reduced away)."""
-        assert el.quiver is self.quiver
-        el = self.reduce(el.truncate(self.truncation))
-        if el.is_zero():
-            return None
-        lead = self._min_word(el)
-        assert lead[1], "a relation with a lazy lead collapses a vertex"
-        coeff = el.terms[lead]
-        tail = NCElement(self.quiver, self.truncation)
-        tail.terms = {w: -c / coeff for w, c in el.terms.items() if w != lead}
-        rid = self._next_id
-        self._next_id += 1
-        self.rules[rid] = Rule(lead, tail)
-        self._index_rule(rid)
-        self._nf_cache.clear()
-        self._enqueue_overlaps(rid)
-        self._interreduce(rid)
-        return rid
+        """Absorb one relation; returns its rule id (None if it reduced away).
 
-    def _interreduce(self, new_rid: int) -> None:
-        """Restore: no lead reducible by another rule, all tails fully reduced."""
-        dirty = True
-        while dirty:
-            dirty = False
-            for rid in list(self.rules):
-                if rid not in self.rules or rid == new_rid:
-                    continue
-                rule = self.rules[rid]
-                if self._find_redex(rule.lead, skip_rid=rid) is not None:
-                    # lead became reducible: retire and re-absorb the relation
-                    el = rule.as_element()
-                    self._unindex_rule(rid)
-                    del self.rules[rid]
-                    self._nf_cache.clear()
-                    self.add_relation(el)
-                    dirty = True
-                    break
-            else:
-                for rid, rule in self.rules.items():
-                    reduced = self.reduce(rule.tail)
-                    if reduced.terms != rule.tail.terms:
-                        rule.tail = reduced
-                        self._nf_cache.clear()
+        A worklist: each relation is reduced, and before its rule goes in,
+        every rule whose lead contains the new lead is retired and its
+        relation queued. Tails are re-reduced once, if any rule went in.
+        """
+        assert el.quiver is self.quiver
+        inserted: List[int] = []
+        pending = [el]
+        while pending:
+            rel = self.reduce(pending.pop())
+            if rel.is_zero():
+                continue
+            lead = min(rel.terms, key=self.key)
+            assert lead[1], "a relation with a lazy lead collapses a vertex"
+            for rid in [rid for rid, rule in self.rules.items() if _occurs(lead[1], rule.lead[1])]:
+                pending.append(self.rules[rid].as_element())
+                self._unindex_rule(rid)
+                del self.rules[rid]
+            coeff = rel.terms.pop(lead)
+            rel.terms = {w: -c / coeff for w, c in rel.terms.items()}
+            rid = self._next_id
+            self._next_id += 1
+            self.rules[rid] = Rule(lead, rel)
+            self._index_rule(rid)
+            self._nf_cache.clear()
+            self._enqueue_overlaps(rid)
+            inserted.append(rid)
+        if not inserted:
+            return None
+        for rule in self.rules.values():
+            reduced = self.reduce(rule.tail)
+            if reduced.terms != rule.tail.terms:
+                rule.tail = reduced
+                self._nf_cache.clear()
+        return inserted[0]
 
     # -- redex search -------------------------------------------------------------
 
-    def _find_redex(self, word: Word, skip_rid: Optional[int] = None):
-        """Leftmost position carrying a lead; K-least lead there. None if irreducible."""
+    def _find_redex(self, word: Word):
+        """Leftmost position carrying a lead, with that lead's rule; None if irreducible.
+
+        Leads never contain one another, so at most one matches at a position.
+        """
         ids = word[1]
         for pos in range(len(ids)):
-            best = None
             for rid in self._by_first.get(ids[pos], ()):
-                if rid == skip_rid:
-                    continue
                 lead_ids = self.rules[rid].lead[1]
                 if ids[pos : pos + len(lead_ids)] == lead_ids:
-                    if best is None or self.key(self.rules[rid].lead) < self.key(self.rules[best].lead):
-                        best = rid
-            if best is not None:
-                return (pos, best)
+                    return (pos, rid)
         return None
 
     def _suffix_redex(self, ids: Tuple[int, ...]) -> bool:
@@ -190,18 +182,7 @@ class ReductionSystem:
                 continue
             acc: Dict[Word, QQ] = {}
             for u, c in expansion.items():
-                for v, cv in cache[u].items():
-                    # irreducible words cache the shared ONE: skip that product
-                    t = c if cv is ONE else c * cv
-                    old = acc.get(v)
-                    if old is None:
-                        acc[v] = t
-                    else:
-                        s = old + t
-                        if s:
-                            acc[v] = s
-                        else:
-                            del acc[v]
+                _accumulate(acc, c, cache[u])
             cache[w] = acc
             stack.pop()
         return cache[word]
@@ -210,17 +191,7 @@ class ReductionSystem:
         assert el.quiver is self.quiver
         out: Dict[Word, QQ] = {}
         for word, coeff in el.truncate(self.truncation).terms.items():
-            for v, cv in self.normal_form_word(word).items():
-                t = coeff if cv is ONE else coeff * cv
-                old = out.get(v)
-                if old is None:
-                    out[v] = t
-                else:
-                    s = old + t
-                    if s:
-                        out[v] = s
-                    else:
-                        del out[v]
+            _accumulate(out, coeff, self.normal_form_word(word))
         res = NCElement(self.quiver, self.truncation)
         res.terms = out
         return res
@@ -253,54 +224,51 @@ class ReductionSystem:
 
     def _enqueue_overlaps(self, rid: int) -> None:
         lead = self.rules[rid].lead[1]
-        for other, rule in list(self.rules.items()):
+        for other, rule in self.rules.items():
             olead = rule.lead[1]
-            kmax = min(len(lead), len(olead))
-            if other == rid:
-                kmax = len(lead)  # self-overlap: proper suffix = proper prefix
-            for k in range(1, kmax):
+            # k stays below both lengths: an overlap, never an inclusion
+            for k in range(1, min(len(lead), len(olead))):
                 if lead[-k:] == olead[:k]:
                     self._overlap_queue.append((rid, other, k))
                 if other != rid and olead[-k:] == lead[:k]:
                     self._overlap_queue.append((other, rid, k))
 
-    def _spolynomial(self, rid1: int, rid2: int, k: int) -> Optional[NCElement]:
+    def _spolynomial(self, rid1: int, rid2: int, k: int) -> Optional[Tuple[Word, NCElement]]:
+        """The ambiguity word of two leads overlapping in k arrows, and its S-polynomial.
+
+        None once either rule is retired (a live rule keeps its lead), or
+        when the word weighs at least the truncation.
+        """
         r1 = self.rules.get(rid1)
         r2 = self.rules.get(rid2)
         if r1 is None or r2 is None:
             return None
         lead1, lead2 = r1.lead, r2.lead
-        if lead1[1][-k:] != lead2[1][:k]:
-            return None  # stale descriptor after interreduction
         composite = (lead1[0], lead1[1] + lead2[1][k:])
         if self.quiver.weight_of(composite) >= self.truncation:
             return None
         prefix_ids = lead1[1][: len(lead1[1]) - k]
         suffix_ids = lead2[1][k:]
-        left = NCElement(self.quiver, self.truncation)
-        for (mt, mids), coeff in r1.tail.terms.items():
-            w = (lead1[0], mids + suffix_ids)
-            if self.quiver.weight_of(w) < self.truncation:
-                left.terms[w] = left.terms.get(w, ZERO) + coeff
-        right = NCElement(self.quiver, self.truncation)
-        for (mt, mids), coeff in r2.tail.terms.items():
+        # the constructor drops cancelled words and words of weight >= D
+        terms = {(lead1[0], mids + suffix_ids): c for (_, mids), c in r1.tail.terms.items()}
+        for (_, mids), c in r2.tail.terms.items():
             w = (lead1[0], prefix_ids + mids)
-            if self.quiver.weight_of(w) < self.truncation:
-                right.terms[w] = right.terms.get(w, ZERO) + coeff
-        return left - right
+            terms[w] = terms.get(w, ZERO) - c
+        return composite, NCElement(self.quiver, self.truncation, terms)
 
-    def complete(self, max_rules: Optional[int] = None) -> None:
+    def ambiguities(self) -> Iterator[Tuple[Word, NCElement]]:
+        """Yield (word, S-polynomial) for every live queued ambiguity; the queue stays."""
+        for descriptor in self._overlap_queue:
+            amb = self._spolynomial(*descriptor)
+            if amb is not None:
+                yield amb
+
+    def complete(self) -> None:
         """Process all overlaps below the truncation; confluence then holds there."""
         while self._overlap_queue:
-            rid1, rid2, k = self._overlap_queue.popleft()
-            s = self._spolynomial(rid1, rid2, k)
-            if s is None:
-                continue
-            s = self.reduce(s)
-            if not s.is_zero():
-                self.add_relation(s)
-                if max_rules is not None and len(self.rules) > max_rules:
-                    raise RuntimeError("completion exceeded the rule budget")
+            amb = self._spolynomial(*self._overlap_queue.popleft())
+            if amb is not None:
+                self.add_relation(amb[1])
 
     # -- irreducible words ------------------------------------------------------------
 
@@ -334,6 +302,27 @@ class ReductionSystem:
         return counts
 
 
+def _occurs(lead: Tuple[int, ...], ids: Tuple[int, ...]) -> bool:
+    n = len(lead)
+    return any(ids[i : i + n] == lead for i in range(len(ids) - n + 1))
+
+
+def _accumulate(acc: Dict[Word, QQ], coeff: QQ, nf: Dict[Word, QQ]) -> None:
+    """acc += coeff * nf, dropping cancelled words."""
+    for v, cv in nf.items():
+        # irreducible words cache the shared ONE: skip that product
+        t = coeff if cv is ONE else coeff * cv
+        old = acc.get(v)
+        if old is None:
+            acc[v] = t
+        else:
+            s = old + t
+            if s:
+                acc[v] = s
+            else:
+                del acc[v]
+
+
 def system_from_relations(quiver: Quiver, truncation: int, relations: Iterable[NCElement]) -> ReductionSystem:
     sys = ReductionSystem(quiver, truncation)
     for rel in relations:
@@ -341,57 +330,3 @@ def system_from_relations(quiver: Quiver, truncation: int, relations: Iterable[N
             sys.add_relation(rel)
     sys.complete()
     return sys
-
-
-@dataclass
-class Overlap:
-    """Words p, q, r with pq and qr both rule leads; the ambiguity is pqr."""
-
-    left: Word
-    middle: Word
-    right: Word
-    rule_left: int
-    rule_right: int
-
-    def word(self) -> Word:
-        return (self.left[0], self.left[1] + self.middle[1] + self.right[1])
-
-
-def overlaps(system: ReductionSystem) -> List[Overlap]:
-    """Every overlap ambiguity between rule leads, self-overlaps included.
-
-    Inclusion ambiguities cannot occur in an interreduced system; their
-    absence is asserted.
-    """
-    q = system.quiver
-    out: List[Overlap] = []
-    for rid1, r1 in system.rules.items():
-        t1, ids1 = r1.lead
-        for rid2, r2 in system.rules.items():
-            ids2 = r2.lead[1]
-            for k in range(1, min(len(ids1), len(ids2)) + 1):
-                if ids1[-k:] != ids2[:k]:
-                    continue
-                if k == len(ids1) or k == len(ids2):
-                    assert rid1 == rid2 and k == len(ids1) == len(ids2), \
-                        "inclusion ambiguity in an interreduced system"
-                    continue
-                p = (t1, ids1[: len(ids1) - k])
-                middle = (q.head_of(p), ids1[len(ids1) - k:])
-                r = (q.head_of(r1.lead), ids2[k:])
-                out.append(Overlap(p, middle, r, rid1, rid2))
-    return out
-
-
-def check_resolvable(overlap: Overlap, system: ReductionSystem
-                     ) -> Tuple[bool, NCElement, NCElement]:
-    """Reduce the ambiguity both ways; resolvable when the normal forms agree."""
-    q = system.quiver
-    D = system.truncation
-    tail1 = system.rules[overlap.rule_left].tail
-    tail2 = system.rules[overlap.rule_right].tail
-    r_el = NCElement.from_word(q, D, overlap.right)
-    p_el = NCElement.from_word(q, D, overlap.left)
-    left_nf = system.reduce(tail1 * r_el)
-    right_nf = system.reduce(p_el * tail2)
-    return left_nf == right_nf, left_nf, right_nf

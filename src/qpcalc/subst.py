@@ -117,34 +117,6 @@ class Substitution:
                     mat[ids[0]][i] = coeff
         return mat
 
-    def is_unitriangular(self) -> bool:
-        """True when every arrow maps to itself plus longer words."""
-        for i, img in self.images.items():
-            a = self.quiver.arrows[i]
-            base = (a.tail, (i,))
-            if img.coeff(base) != 1:
-                return False
-            for word in img.terms:
-                if word != base and self.quiver.weight_of(word) <= a.weight:
-                    return False
-        return True
-
-    def depth(self) -> Optional[int]:
-        """min over arrows of (weight of the lightest correction term) - 1.
-
-        None means the substitution is the identity below the truncation.
-        """
-        best = None
-        for i, img in self.images.items():
-            a = self.quiver.arrows[i]
-            delta = img - NCElement.from_word(self.quiver, self.truncation, (a.tail, (i,)))
-            w = delta.min_weight()
-            if w is None:
-                continue
-            d = w - 1
-            best = d if best is None else min(best, d)
-        return best
-
     def is_invertible(self) -> bool:
         return det_dense(self.linear_part()) != 0
 

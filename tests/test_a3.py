@@ -21,6 +21,7 @@ from qpcalc.a3 import (
 )
 from qpcalc.field import QQ
 from qpcalc.jacobi import jacobi_relations, jdim_oracle
+from qpcalc.series import NCElement
 
 
 def xyp(trunc, table):
@@ -51,7 +52,9 @@ def test_normalize_fixed_point():
     f = xyp(14, {(3, 0): 1, (1, 1): 1, (0, 5): 1})
     g, w = normalize(f)
     assert g == f
-    assert w.depth() is None
+    # identity witness: every arrow maps to itself
+    q = f.quiver
+    assert all(w.image_of(a.index) == NCElement.arrow(q, w.truncation, a.name) for a in q.arrows)
 
 
 def test_classify_examples():

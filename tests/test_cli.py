@@ -241,6 +241,8 @@ def _pinned_argv(tmp_path, case):
     if case == "jdim exact":
         return ["jdim", "--input", two_cycle_file(tmp_path),
                 "--quotient-vertex", "1", "--quotient-vertex", "3"]
+    if case == "diamond overlaps":
+        return ["diamond", "--n", "2", "--max-degree", "8", "--check", "overlaps"]
     if case == "jdim lower_bound":
         # x^2 + xy + y^2/4 is infinite-dimensional; deleting vertex 1 is not
         return ["jdim", "--input", two_cycle_file(tmp_path, ky="1/4", truncation=10),
@@ -252,6 +254,7 @@ def _pinned_argv(tmp_path, case):
 PINNED_STDOUT = {
     "monomialize": "902bb174f1660dc39f942518c3d4cf42f6b4691e9a1a0a29162147064ef40968",
     "a3 classify": "f3e1c8a51a4055e2e9d096c1e07be715e5c8216b2a1aee10c83f3b8e853e09f8",
+    "diamond overlaps": "0a38b73f694ea823bab0031ccea168b41ebcda6d65db94fbccf917000cdfa5e5",
     "realize": "39a05f5d3b76168a5f36960cd089c6320dff26b1bd0d39d994d5f9b30301fd78",
     "jdim exact": "dc3f4536cf46164ec14a6c4ac42b137c4af098fe4c17437b3a05ec122a0fc730",
     "jdim lower_bound": "8387cd30962a58b94f8eba8d069a272a53b94bc88d662ad5526bd384a0c1e6af",

@@ -1,6 +1,9 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from qpcalc.field import QQ
+from qpcalc.jacobi import all_paths
 from qpcalc.quiver import Quiver, double_an
 from qpcalc.series import NCElement
 from qpcalc.rewrite import ReductionSystem, system_from_relations
@@ -105,9 +108,7 @@ def test_interreduction_keeps_leads_irreducible():
         sys.add_relation(u3 - rhs_el)
         sys.add_relation(short_rel)
         sys.complete()
-        for rid, rule in sys.rules.items():
-            # every lead is irreducible by the other rules
-            assert sys._find_redex(rule.lead, skip_rid=rid) is None
+        for rule in sys.rules.values():
             # no lead may contain another lead
             others = [r.lead[1] for r in sys.rules.values() if r is not rule]
             ids = rule.lead[1]
@@ -135,3 +136,62 @@ def test_reduce_leaves_no_zero_and_nothing_heavy():
     assert all(c != 0 for c in out.terms.values())
     assert all(q.weight_of(w) < D for w in out.terms)
     assert out.terms == {word(q, ["v", "u", "u"]): QQ(2, 3)}
+
+
+def test_ambiguities_report_unresolved_words_before_completion():
+    q = two_loop_quiver()
+    D = 8
+    sys = ReductionSystem(q, D)
+    sys.add_relation(NCElement.from_word(q, D, word(q, ["u"] * 3)))
+    sys.add_relation(NCElement.from_word(q, D, word(q, ["u", "u", "v"]))
+                     - NCElement.from_word(q, D, word(q, ["v"] * 3)))
+    resolved = sorted((q.format_word(w), sys.reduce(s).is_zero()) for w, s in sys.ambiguities())
+    assert resolved == [("u*u*u*u", True), ("u*u*u*u*u", True),
+                        ("u*u*u*u*v", False), ("u*u*u*v", False)]
+    # reading the ambiguities leaves them queued for completion
+    assert len(list(sys.ambiguities())) == 4
+
+
+def _occurs(short, ids):
+    return any(ids[i : i + len(short)] == short for i in range(len(ids) - len(short) + 1))
+
+
+@st.composite
+def random_relations(draw):
+    """1-4 relations of 1-3 paths of weight 1-4 with shared ends, on
+    double_an(2..3) with any loopless set, at D = 5..8, and probe words."""
+    n = draw(st.integers(2, 3))
+    q = double_an(n, draw(st.sets(st.integers(1, n))))
+    D = draw(st.integers(5, 8))
+    by_ends = {}
+    for w in all_paths(q, 5):
+        if w[1]:
+            by_ends.setdefault((w[0], q.head_of(w)), []).append(w)
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(by_ends[draw(st.sampled_from(sorted(by_ends)))]),
+                              min_size=1, max_size=3, unique=True))
+        rels.append(NCElement(q, D, {w: QQ(draw(st.sampled_from([-2, -1, 1, 2])),
+                                           draw(st.integers(1, 3))) for w in words}))
+    probes = draw(st.lists(st.sampled_from([w for w in all_paths(q, D) if w[1]]),
+                           min_size=1, max_size=5))
+    return q, D, rels, probes
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(random_relations(), st.randoms(use_true_random=False))
+def test_rules_stay_interreduced_and_complete_to_confluence(case, rng):
+    q, D, rels, probes = case
+    sys = ReductionSystem(q, D)
+    for rel in rels:
+        sys.add_relation(rel)
+        leads = [r.lead[1] for r in sys.rules.values()]
+        for i, a in enumerate(leads):
+            assert not any(_occurs(b, a) for j, b in enumerate(leads) if j != i)
+        for rule in sys.rules.values():
+            for w in rule.tail.terms:
+                assert not any(_occurs(lead, w[1]) for lead in leads)
+    sys.complete()
+    for w in probes + [r.lead for r in sys.rules.values()]:
+        el = NCElement.from_word(q, D, w)
+        assert sys.reduce(el) == sys.reduce_random(el, rng)

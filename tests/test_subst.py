@@ -31,26 +31,18 @@ def test_self_composition_coefficients():
     assert len(img.terms) == 3
 
 
-def test_unitriangular_depth_and_invertibility():
+def test_invertibility():
     q = quiver_a3()
     s = shear(q, 8, coeff=QQ(-5, 3))
-    assert s.is_unitriangular()
-    assert s.depth() == 2
     assert s.is_invertible()
 
-    # linear rescale is invertible but not unitriangular
+    # a linear rescale is invertible
     r = Substitution(q, 8, {"a1": NCElement.arrow(q, 8, "a1", QQ(3))})
-    assert not r.is_unitriangular()
     assert r.is_invertible()
 
     # killing an arrow is not invertible
     z = Substitution(q, 8, {"a1": NCElement.zero(q, 8)})
     assert not z.is_invertible()
-
-
-def test_identity_depth_is_none():
-    q = quiver_a3()
-    assert Substitution.identity(q, 6).depth() is None
 
 
 def test_potential_application_collects_rotations():
