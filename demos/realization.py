@@ -39,7 +39,7 @@ gs = solve_g_system(n, table)
 for k, g in enumerate(gs):
     print(f"g_{k} =", sp.expand(g))
 
-pres = emit_presentation(n, table, anchor_index=0, anchor_values=None)
+pres = emit_presentation(gs)
 print("hypersurface:", pres["hypersurface"])
 print("modules:", pres["modules"])
 for curve in pres["curves"]:

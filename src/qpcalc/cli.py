@@ -151,7 +151,7 @@ def cmd_typea_check(args) -> int:
 
 
 def _monomial_strings(g: sp.Expr) -> List[str]:
-    parts = [str(t) for t in sp.Add.make_args(sp.expand(g))]
+    parts = [str(t) for t in sp.Add.make_args(g)]
     return sorted(parts, key=lambda s: (len(s), s))
 
 
@@ -161,7 +161,7 @@ def cmd_realize(args) -> int:
     if not 0 <= anchor <= 2 * n - 1:
         raise CLIError(f"anchor {anchor} outside 0..{2 * n - 1}")
     gs = solve_g_system(n, table, anchor)
-    data = emit_presentation(n, table, anchor)
+    data = emit_presentation(gs)
     arrows = []
     for t in range(n + 1):
         arrows.append({"name": f"a{t}", "tail": t, "head": (t + 1) % (n + 1)})

@@ -64,8 +64,9 @@ def solve_g_system(
         gs[i - 1] = sp.expand(-gs[i + 1] - step_coeffs(i))
     assert all(g is not None for g in gs)
 
+    lins = [linear_part(g) for g in gs]
     dets = {
-        sp.det(sp.Matrix([linear_part(gs[i]), linear_part(gs[i + 1])]))
+        lins[i][0] * lins[i + 1][1] - lins[i][1] * lins[i + 1][0]
         for i in range(2 * n)
     }
     assert len(dets) == 1 and 0 not in dets, "consecutive linear parts degenerate"
@@ -94,13 +95,9 @@ def classify_pair(g1: sp.Expr, g2: sp.Expr) -> Dict[str, str]:
     return {"type": "(-2,0)", "loop": label}
 
 
-def emit_presentation(
-    n: int,
-    kappa: KappaTable,
-    anchor_index: int = 0,
-    anchor_values: Optional[Tuple[sp.Expr, sp.Expr]] = None,
-) -> Dict[str, object]:
-    gs = solve_g_system(n, kappa, anchor_index, anchor_values)
+def emit_presentation(gs: List[sp.Expr]) -> Dict[str, object]:
+    """Hypersurface, modules and curve types of a chain g_0..g_2n from solve_g_system."""
+    n = (len(gs) - 1) // 2
     factors = [gs[2 * i] for i in range(n + 1)]
     uv = sp.expand(sp.prod(factors))
     modules = []
@@ -233,7 +230,7 @@ def a3_realize(
     table = a3_kappa_table(kappa1, p, kappa2, q, kappa3, s)
     gs = solve_g_system(3, table, anchor_index=2, anchor_values=(X, X + Y))
     hs = (sp.expand(-gs[0]), gs[2], gs[4], sp.expand(-gs[6]))
-    data = emit_presentation(3, table, anchor_index=2, anchor_values=(X, X + Y))
+    data = emit_presentation(gs)
     data["h"] = [str(h) for h in hs]
     return data
 

@@ -19,6 +19,28 @@ of a word.
 Completion processes every overlap ambiguity whose combined word still
 weighs less than the truncation; dropped ones only involve words at or
 above it, so on exit normal forms below the truncation are unique.
+
+Leads are kept in a trie over their arrow ids, and reversed leads in a
+second trie. A node is a dict from arrow id to child; a lead ends at an
+int, its rule id. Since no lead is a prefix of another, a node is either
+a leaf or a dict, and a walk from one position stops at the only lead
+that can match there.
+
+``normal_form_word`` rewrites each word once. A word's one-step
+expansion stays on its stack frame until every word in it has a cached
+normal form. The words on the stack strictly climb K, so none is met
+again while its frame is open, and a closed frame leaves its word's
+normal form in the cache. Each expanded word is searched for its leftmost redex from
+``max(0, pos - (L - 1))``, where ``pos`` is the leftmost redex of the
+word it came from and L is at least the longest lead. The expanded word
+keeps the prefix ``ids[:pos]`` of that word, and a lead starting further
+left would end inside that prefix, so the parent would have had a redex
+left of ``pos``. The search therefore finds the same leftmost redex as a
+search from 0.
+
+The normal-form cache holds dicts that are shared, without a copy,
+between a word and a word it rewrites to with coefficient 1 and nothing
+else, and are handed to callers as they are. They are read-only.
 """
 
 from __future__ import annotations
@@ -53,8 +75,9 @@ class ReductionSystem:
         self.truncation = truncation
         self.rules: Dict[int, Rule] = {}
         self._next_id = 0
-        self._by_first: Dict[int, List[int]] = {}
-        self._by_last: Dict[int, List[int]] = {}
+        self._trie: Dict[int, object] = {}
+        self._rtrie: Dict[int, object] = {}
+        self._max_lead = 0  # at least the longest live lead
         self._overlap_queue: deque = deque()
         self._nf_cache: Dict[Word, Dict[Word, QQ]] = {}
 
@@ -67,13 +90,14 @@ class ReductionSystem:
 
     def _index_rule(self, rid: int) -> None:
         ids = self.rules[rid].lead[1]
-        self._by_first.setdefault(ids[0], []).append(rid)
-        self._by_last.setdefault(ids[-1], []).append(rid)
+        _trie_insert(self._trie, ids, rid)
+        _trie_insert(self._rtrie, ids[::-1], rid)
+        self._max_lead = max(self._max_lead, len(ids))
 
     def _unindex_rule(self, rid: int) -> None:
         ids = self.rules[rid].lead[1]
-        self._by_first[ids[0]].remove(rid)
-        self._by_last[ids[-1]].remove(rid)
+        _trie_remove(self._trie, ids)
+        _trie_remove(self._rtrie, ids[::-1])
 
     def add_relation(self, el: NCElement) -> Optional[int]:
         """Absorb one relation; returns its rule id (None if it reduced away).
@@ -115,24 +139,34 @@ class ReductionSystem:
 
     # -- redex search -------------------------------------------------------------
 
-    def _find_redex(self, word: Word):
-        """Leftmost position carrying a lead, with that lead's rule; None if irreducible.
+    def _find_redex(self, word: Word, start: int):
+        """Leftmost position >= start carrying a lead, with that lead's rule; None if none.
 
         Leads never contain one another, so at most one matches at a position.
         """
         ids = word[1]
-        for pos in range(len(ids)):
-            for rid in self._by_first.get(ids[pos], ()):
-                lead_ids = self.rules[rid].lead[1]
-                if ids[pos : pos + len(lead_ids)] == lead_ids:
-                    return (pos, rid)
+        trie = self._trie
+        n = len(ids)
+        for pos in range(start, n):
+            node = trie.get(ids[pos])
+            j = pos + 1
+            while node is not None:
+                if node.__class__ is int:
+                    return (pos, node)
+                if j == n:
+                    break
+                node = node.get(ids[j])
+                j += 1
         return None
 
     def _suffix_redex(self, ids: Tuple[int, ...]) -> bool:
         """True when some lead is a suffix of ids (only check needed while extending)."""
-        for rid in self._by_last.get(ids[-1], ()):
-            lead_ids = self.rules[rid].lead[1]
-            if len(lead_ids) <= len(ids) and ids[-len(lead_ids) :] == lead_ids:
+        node = self._rtrie
+        for a in reversed(ids):
+            node = node.get(a)
+            if node is None:
+                return False
+            if node.__class__ is int:
                 return True
         return False
 
@@ -160,32 +194,35 @@ class ReductionSystem:
     # -- normal forms ---------------------------------------------------------------
 
     def normal_form_word(self, word: Word) -> Dict[Word, QQ]:
+        """Normal form of one word as a read-only dict (see the module docstring)."""
         cache = self._nf_cache
         hit = cache.get(word)
         if hit is not None:
             return hit
-        stack = [word]
-        while stack:
-            w = stack[-1]
-            if w in cache:
-                stack.pop()
-                continue
-            redex = self._find_redex(w)
+        back = self._max_lead - 1
+        # frames: (word, its one-step expansion, iterator over it, redex position)
+        frames: List[tuple] = []
+        w, start = word, 0
+        while True:
+            redex = self._find_redex(w, start)
             if redex is None:
                 cache[w] = {w: ONE}
-                stack.pop()
-                continue
-            expansion = self._rewrite_once(w, *redex)
-            missing = [u for u in expansion if u not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc: Dict[Word, QQ] = {}
-            for u, c in expansion.items():
-                _accumulate(acc, c, cache[u])
-            cache[w] = acc
-            stack.pop()
-        return cache[word]
+            else:
+                expansion = self._rewrite_once(w, *redex)
+                frames.append((w, expansion, iter(expansion), redex[0]))
+            while frames:
+                top, expansion, pending, pos = frames[-1]
+                for w in pending:
+                    if w not in cache:
+                        break
+                else:
+                    frames.pop()
+                    cache[top] = _combine(expansion, cache)
+                    continue
+                start = max(0, pos - back)
+                break
+            else:
+                return cache[word]
 
     def reduce(self, el: NCElement) -> NCElement:
         assert el.quiver is self.quiver
@@ -200,12 +237,13 @@ class ReductionSystem:
         """Reduce with a randomized redex schedule (no memoization)."""
         terms: Dict[Word, QQ] = dict(el.truncate(self.truncation).terms)
         while True:
+            # scans the rules themselves, not the trie the engine searches
             redexes = []
             for word in terms:
                 ids = word[1]
-                for pos in range(len(ids)):
-                    for rid in self._by_first.get(ids[pos], ()):
-                        lead_ids = self.rules[rid].lead[1]
+                for rid, rule in self.rules.items():
+                    lead_ids = rule.lead[1]
+                    for pos in range(len(ids) - len(lead_ids) + 1):
                         if ids[pos : pos + len(lead_ids)] == lead_ids:
                             redexes.append((word, pos, rid))
             if not redexes:
@@ -305,6 +343,42 @@ class ReductionSystem:
 def _occurs(lead: Tuple[int, ...], ids: Tuple[int, ...]) -> bool:
     n = len(lead)
     return any(ids[i : i + n] == lead for i in range(len(ids) - n + 1))
+
+
+def _trie_insert(root: Dict[int, object], ids: Tuple[int, ...], rid: int) -> None:
+    node = root
+    for a in ids[:-1]:
+        node = node.setdefault(a, {})
+    node[ids[-1]] = rid
+
+
+def _trie_remove(root: Dict[int, object], ids: Tuple[int, ...]) -> None:
+    """Remove a lead and prune the nodes it leaves empty."""
+    path = []
+    node = root
+    for a in ids[:-1]:
+        path.append((node, a))
+        node = node[a]
+    del node[ids[-1]]
+    for parent, a in reversed(path):
+        if parent[a]:
+            break
+        del parent[a]
+
+
+def _combine(expansion: Dict[Word, QQ], cache: Dict[Word, Dict[Word, QQ]]) -> Dict[Word, QQ]:
+    """Normal form from a one-step expansion whose words are all cached.
+
+    A lone word with coefficient 1 shares its cached dict.
+    """
+    if len(expansion) == 1:
+        ((u, c),) = expansion.items()
+        if c == 1:
+            return cache[u]
+    acc: Dict[Word, QQ] = {}
+    for u, c in expansion.items():
+        _accumulate(acc, c, cache[u])
+    return acc
 
 
 def _accumulate(acc: Dict[Word, QQ], coeff: QQ, nf: Dict[Word, QQ]) -> None:

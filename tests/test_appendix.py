@@ -92,11 +92,28 @@ def test_expected_count_matches_engine_for_n3():
     assert counts == [expected_count(3, d) for d in range(8)]
 
 
+# per-degree (dims, ranks) of the five-term complex; `qp diamond` prints
+# only the verdict, so these pins are what catches a wrong rank
+EXACTNESS_TABLES = {
+    (2, 10): [((1, 4, 16, 14, 1), (1, 3, 13)), ((2, 10, 28, 20, 0), (2, 8, 20)),
+              ((5, 16, 40, 30, 1), (5, 11, 29)), ((8, 28, 60, 40, 0), (8, 20, 40)),
+              ((14, 40, 80, 55, 1), (14, 26, 54)), ((20, 60, 110, 70, 0), (20, 40, 70)),
+              ((30, 80, 140, 91, 1), (30, 50, 90))],
+    (3, 9): [((1, 4, 20, 20, 3), (1, 3, 17)), ((2, 12, 40, 30, 0), (2, 10, 30)),
+             ((6, 20, 60, 50, 4), (6, 14, 46)), ((10, 40, 100, 70, 0), (10, 30, 70)),
+             ((20, 60, 140, 105, 5), (20, 40, 100)), ((30, 100, 210, 140, 0), (30, 70, 140))],
+}
+
+
 def test_exactness_small():
     ex = exactness_check(2, 8)
     assert ex["pass"]
     assert ex["degrees"][0]["dims"] == (1, 4, 16, 14, 1)
     assert ex["degrees"][0]["ranks"] == (1, 3, 13)
+    for (n, D), table in EXACTNESS_TABLES.items():
+        ex = exactness_check(n, D)
+        assert ex["pass"]
+        assert [(e["dims"], e["ranks"]) for _d, e in sorted(ex["degrees"].items())] == table
 
 
 def test_corner_loop_multiplication_injective():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qpcalc.cli import main
+from qpcalc.rewrite import ReductionSystem
 from qpcalc.serialize import potential_from_json
 
 
@@ -177,6 +178,14 @@ def test_diamond_check_passes(capsys):
     assert payload["pass"] is True
     assert payload["witnesses"] == []
     assert payload["n"] == 2 and payload["D"] == 8
+
+
+def test_diamond_overlaps_fail_when_none_are_read(capsys, monkeypatch):
+    monkeypatch.setattr(ReductionSystem, "ambiguities", lambda self: iter(()))
+    code, payload = run(capsys, "diamond", "--n", "2", "--max-degree", "8",
+                        "--check", "overlaps")
+    assert code == 2
+    assert payload["pass"] is False
 
 
 def test_malformed_inputs_exit_one(tmp_path, capsys):

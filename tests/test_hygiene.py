@@ -1,11 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qpcalc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qpcalc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +42,21 @@ def test_no_unused_imports(path):
     used = set(_referenced_names(tree))
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} but never uses them"
+
+
+def _bench_traced():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
+@pytest.mark.parametrize("module, attribute", [t[:2] for t in _bench_traced()],
+                         ids=lambda v: v)
+def test_bench_traced_names_resolve(module, attribute):
+    # the benchmark's tracer patches these by name; a rename would break
+    # only the benchmark, which tier-1 does not run
+    obj = importlib.import_module(f"qpcalc.{module}")
+    for part in attribute.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)

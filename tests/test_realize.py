@@ -101,7 +101,7 @@ def test_contraction_relations_match_derivatives():
 
 
 def test_presentation_flags_missing_square():
-    data = emit_presentation(2, {(3, 2): QQ(1)})
+    data = emit_presentation(solve_g_system(2, {(3, 2): QQ(1)}))
     assert data["g"] == ["y", "x", "-y", "-x", "2*x + y"]
     assert data["curves"][0] == {"index": 1, "type": "(-2,0)", "loop": "x"}
     assert data["curves"][1] == {"index": 2, "type": "(-1,-1)"}

@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from qpcalc.appendix import appendix_system
 from qpcalc.field import QQ
 from qpcalc.jacobi import all_paths
 from qpcalc.quiver import Quiver, double_an
@@ -117,6 +118,23 @@ def test_interreduction_keeps_leads_irreducible():
         assert sys.reduce(rhs_el).is_zero()
 
 
+def test_each_word_is_rewritten_once(monkeypatch):
+    # a descending loop run before two arrow pairs: many rewrite paths
+    # meet in shared words
+    system = appendix_system(2, 16)
+    q = system.quiver
+    word = (0, (q.loop(0, 2), q.loop(0, 1), q.loop(0, 0), q.a(0), q.b(0), q.a(0), q.b(0)))
+    calls = []
+    rewrite_once = ReductionSystem._rewrite_once
+    monkeypatch.setattr(ReductionSystem, "_rewrite_once",
+                        lambda self, *args: calls.append(args) or rewrite_once(self, *args))
+    system._nf_cache.clear()
+    system.normal_form_word(word)
+    reducible = [w for w, nf in system._nf_cache.items() if list(nf) != [w]]
+    assert len(reducible) > 10
+    assert len(calls) == len(reducible)
+
+
 def test_reduce_leaves_no_zero_and_nothing_heavy():
     q = two_loop_quiver()
     D = 6
@@ -178,6 +196,16 @@ def random_relations(draw):
     return q, D, rels, probes
 
 
+def _trie_leads(node, prefix=()):
+    """(lead ids, rule id) for every leaf of a lead trie."""
+    for a, child in node.items():
+        if isinstance(child, int):
+            yield prefix + (a,), child
+        else:
+            assert child, "an emptied trie node was left behind"
+            yield from _trie_leads(child, prefix + (a,))
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(random_relations(), st.randoms(use_true_random=False))
 def test_rules_stay_interreduced_and_complete_to_confluence(case, rng):
@@ -185,7 +213,10 @@ def test_rules_stay_interreduced_and_complete_to_confluence(case, rng):
     sys = ReductionSystem(q, D)
     for rel in rels:
         sys.add_relation(rel)
-        leads = [r.lead[1] for r in sys.rules.values()]
+        live = {rid: r.lead[1] for rid, r in sys.rules.items()}
+        assert {rid: lead for lead, rid in _trie_leads(sys._trie)} == live
+        assert {rid: lead[::-1] for lead, rid in _trie_leads(sys._rtrie)} == live
+        leads = list(live.values())
         for i, a in enumerate(leads):
             assert not any(_occurs(b, a) for j, b in enumerate(leads) if j != i)
         for rule in sys.rules.values():
