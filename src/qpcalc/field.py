@@ -24,6 +24,11 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 
+class PreconditionError(ValueError):
+    """The input lies outside what a pipeline accepts (not Type A, not reduced,
+    a degenerate anchor)."""
+
+
 def rational(value) -> "QQ":
     """Coerce ints, strings like '-3/4', and rationals to the scalar type."""
     if isinstance(value, str):

@@ -24,16 +24,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .cycles import Potential
-from .field import QQ, ZERO
+from .field import QQ, ZERO, PreconditionError
 from .quiver import DoubledPathQuiver, Word, double_an
 from .series import NCElement
 from .subst import Substitution, compose_chain
 
 MAX_PASSES = 20000
-
-
-class PreconditionError(ValueError):
-    """The input lies outside what a pipeline accepts (not Type A, not reduced)."""
 
 
 # -- term taxonomy ---------------------------------------------------------------

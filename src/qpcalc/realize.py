@@ -9,7 +9,17 @@ commuting variables solve the three-term recursion
 for slots i = 1..2n-1. They package a hypersurface u v = g_0 g_2 ... g_2n
 together with a chain of ideal modules; each curve of the resolution sits
 between two even-index factors, and its normal bundle type is read off
-from the rank of their linear parts.
+from the determinant of their linear parts.
+
+The arithmetic runs in sympy's sparse polynomial ring Q[x, y]: each
+product is expanded once, as a dict of monomials, and linear parts are
+read off as coefficients. sympy expressions are built only where they are
+handed out or printed; a ring element's ``as_expr()`` is the same
+canonical expression that ``sp.expand`` gives, so the printed strings are
+those of an expression pipeline. ``emit_presentation`` returns the keys
+``n``, ``hypersurface``, ``modules``, ``curves`` and ``vertex0``.
+``linear_part`` and ``pair_rank`` work on expressions and serve only as
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -17,18 +27,31 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import sympy as sp
+from sympy.polys.domains import QQ as RING_QQ
+from sympy.polys.rings import PolyElement, ring
 
-from .field import QQ, ZERO
+from .field import QQ, ZERO, PreconditionError
 from .quiver import DoubledPathQuiver, double_an
 from .series import NCElement
 
 X, Y = sp.symbols("x y")
+
+#: Q[x, y] with x, y printed as the symbols X, Y
+RING, RX, RY = ring([X, Y], RING_QQ)
 
 KappaTable = Dict[Tuple[int, int], QQ]
 
 
 def to_sympy(c: QQ) -> sp.Rational:
     return sp.Rational(int(c.numerator), int(c.denominator))
+
+
+def _ring_linear(p: PolyElement) -> Tuple[object, object]:
+    return (p.coeff(RX), p.coeff(RY))
+
+
+def _det(a: Tuple[object, object], b: Tuple[object, object]):
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def solve_g_system(
@@ -41,54 +64,55 @@ def solve_g_system(
 
     The pair (g_t, g_{t+1}) at t = anchor_index is prescribed (default
     (y, x)); every other g is forced. The 2x2 determinant of consecutive
-    linear parts is an invariant of the chain and must never vanish.
+    linear parts is an invariant of the chain, so it must not vanish at
+    the anchor pair. Raises PreconditionError for an anchor outside
+    0..2n-1 or an anchor pair with dependent linear parts.
     """
     m = 2 * n - 1
-    assert 0 <= anchor_index <= m, "anchor outside the chain"
-    if anchor_values is None:
-        anchor_values = (Y, X)
+    if not 0 <= anchor_index <= m:
+        raise PreconditionError(f"anchor {anchor_index} outside 0..{m}")
+    lo, hi = (RY, RX) if anchor_values is None else map(RING, anchor_values)
+    if _det(_ring_linear(lo), _ring_linear(hi)) == 0:
+        raise PreconditionError("anchor pair has dependent linear parts")
 
-    def step_coeffs(i: int) -> sp.Expr:
-        acc = sp.Integer(0)
+    def step(i: int) -> PolyElement:
+        acc = RING.zero
         for (slot, j), c in kappa.items():
             if slot == i:
-                acc += j * to_sympy(c) * gs[i] ** (j - 1)
+                acc += ps[i] ** (j - 1) * (j * RING_QQ(int(c.numerator), int(c.denominator)))
         return acc
 
-    gs: List[Optional[sp.Expr]] = [None] * (2 * n + 1)
-    gs[anchor_index] = sp.expand(anchor_values[0])
-    gs[anchor_index + 1] = sp.expand(anchor_values[1])
+    ps: List[PolyElement] = [RING.zero] * (2 * n + 1)
+    ps[anchor_index], ps[anchor_index + 1] = lo, hi
     for i in range(anchor_index + 1, m + 1):
-        gs[i + 1] = sp.expand(-gs[i - 1] - step_coeffs(i))
+        ps[i + 1] = -ps[i - 1] - step(i)
     for i in range(anchor_index, 0, -1):
-        gs[i - 1] = sp.expand(-gs[i + 1] - step_coeffs(i))
-    assert all(g is not None for g in gs)
+        ps[i - 1] = -ps[i + 1] - step(i)
 
-    lins = [linear_part(g) for g in gs]
-    dets = {
-        lins[i][0] * lins[i + 1][1] - lins[i][1] * lins[i + 1][0]
-        for i in range(2 * n)
-    }
-    assert len(dets) == 1 and 0 not in dets, "consecutive linear parts degenerate"
-    return gs  # type: ignore[return-value]
+    lins = [_ring_linear(p) for p in ps]
+    assert len({_det(lins[i], lins[i + 1]) for i in range(2 * n)}) == 1, \
+        "determinant of consecutive linear parts is not invariant"
+    return [p.as_expr() for p in ps]
 
 
 def linear_part(g: sp.Expr) -> Tuple[sp.Rational, sp.Rational]:
+    """Coefficients of x and y in g; the tests' expression-side oracle."""
     p = sp.Poly(g, X, Y)
     return (p.coeff_monomial(X), p.coeff_monomial(Y))
 
 
 def pair_rank(g1: sp.Expr, g2: sp.Expr) -> int:
+    """Rank of the linear parts of g1, g2; the tests' expression-side oracle."""
     return sp.Matrix([linear_part(g1), linear_part(g2)]).rank()
 
 
-def classify_pair(g1: sp.Expr, g2: sp.Expr) -> Dict[str, str]:
-    if pair_rank(g1, g2) == 2:
+def _curve(l1: Tuple[object, object], l2: Tuple[object, object]) -> Dict[str, str]:
+    """Normal bundle type of the curve between factors with linear parts l1, l2."""
+    if _det(l1, l2) != 0:
         return {"type": "(-1,-1)"}
-    c1, c2 = linear_part(g1), linear_part(g2)
-    if c1[0] == 0 and c2[0] == 0:
+    if l1[0] == 0 and l2[0] == 0:
         label = "x"
-    elif c1[1] == 0 and c2[1] == 0:
+    elif l1[1] == 0 and l2[1] == 0:
         label = "y"
     else:
         label = "x+y"
@@ -98,27 +122,21 @@ def classify_pair(g1: sp.Expr, g2: sp.Expr) -> Dict[str, str]:
 def emit_presentation(gs: List[sp.Expr]) -> Dict[str, object]:
     """Hypersurface, modules and curve types of a chain g_0..g_2n from solve_g_system."""
     n = (len(gs) - 1) // 2
-    factors = [gs[2 * i] for i in range(n + 1)]
-    uv = sp.expand(sp.prod(factors))
+    factors = [RING(gs[2 * i]) for i in range(n + 1)]
+    lins = [_ring_linear(p) for p in factors]
     modules = []
-    running = sp.Integer(1)
+    running = RING.one
     for i in range(n):
-        running = sp.expand(running * factors[i])
-        modules.append(["u", str(running)])
-    curves = []
-    for i in range(1, n + 1):
-        entry = {"index": i}
-        entry.update(classify_pair(factors[i - 1], factors[i]))
-        curves.append(entry)
-    vertex0 = classify_pair(factors[0], factors[n])
+        running *= factors[i]
+        modules.append(["u", str(running.as_expr())])
+    uv = running * factors[n]
+    curves = [{"index": i, **_curve(lins[i - 1], lins[i])} for i in range(1, n + 1)]
     return {
         "n": n,
-        "g": [str(g) for g in gs],
-        "factors": [str(g) for g in factors],
-        "hypersurface": f"u*v = {uv}",
+        "hypersurface": f"u*v = {uv.as_expr()}",
         "modules": modules,
         "curves": curves,
-        "vertex0": vertex0,
+        "vertex0": _curve(lins[0], lins[n]),
     }
 
 

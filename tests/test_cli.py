@@ -41,6 +41,20 @@ def two_cycle_file(tmp_path, kx="1", kxy="1", ky="1", extra=(), truncation=12):
     })
 
 
+# rational and negative coefficients on powers 2-5 of the full 3-vertex doubled path
+MIXED_KAPPA_INPUT = {
+    "n": 3,
+    "kappa": [
+        {"i": 1, "j": 3, "coeff": "-2/3"},
+        {"i": 2, "j": 2, "coeff": "-1"},
+        {"i": 2, "j": 4, "coeff": "3/2"},
+        {"i": 3, "j": 5, "coeff": "5/7"},
+        {"i": 4, "j": 4, "coeff": "-3"},
+        {"i": 5, "j": 2, "coeff": "1/2"},
+        {"i": 5, "j": 3, "coeff": "-1/4"},
+    ],
+}
+
 # a Type A potential on the fully looped 2-vertex quiver, not yet monomial
 TYPE_A_INPUT = {
     "quiver": {"n": 2, "loopless": []},
@@ -224,6 +238,28 @@ def test_monomialize_precondition_survives_optimize(tmp_path):
     assert proc.stdout == ""
 
 
+def test_parser_state_does_not_leak_between_calls(tmp_path, capsys):
+    # one parser serves every call; appended options must not pile up
+    path = two_cycle_file(tmp_path, truncation=6)
+    for vertices in (["1", "3"], ["2"], []):
+        argv = ["jdim", "--input", path]
+        for v in vertices:
+            argv += ["--quotient-vertex", v]
+        _code, payload = run(capsys, *argv)
+        assert sorted(payload["quotients"]) == vertices
+
+
+def test_good_call_after_parse_failure_exits_zero(tmp_path, capsys):
+    path = two_cycle_file(tmp_path, truncation=6)
+    assert main(["jdim", "--input", path, "--quotient-vertex", "1",
+                 "--quotient-vertex", "one"]) == 1
+    assert "invalid int value" in capsys.readouterr().err
+    code, payload = run(capsys, "a3", "apq", "--p", "2", "--q", "2", "--mu", "2")
+    assert code == 0 and payload["mu_values"] == ["-1", "1/2", "2"]
+    _code, payload = run(capsys, "jdim", "--input", path)
+    assert payload["quotients"] == {}
+
+
 def test_output_bytes_are_stable(tmp_path, capsys):
     path = two_cycle_file(tmp_path)
     main(["jdim", "--input", path])
@@ -256,6 +292,9 @@ def _pinned_argv(tmp_path, case):
         # x^2 + xy + y^2/4 is infinite-dimensional; deleting vertex 1 is not
         return ["jdim", "--input", two_cycle_file(tmp_path, ky="1/4", truncation=10),
                 "--quotient-vertex", "1"]
+    if case == "realize mixed":
+        return ["realize", "--input", write(tmp_path, "k.json", MIXED_KAPPA_INPUT),
+                "--anchor", "3"]
     return ["realize", "--input", write(tmp_path, "k.json", KAPPA_INPUT), "--anchor", "2"]
 
 
@@ -265,6 +304,7 @@ PINNED_STDOUT = {
     "a3 classify": "f3e1c8a51a4055e2e9d096c1e07be715e5c8216b2a1aee10c83f3b8e853e09f8",
     "diamond overlaps": "0a38b73f694ea823bab0031ccea168b41ebcda6d65db94fbccf917000cdfa5e5",
     "realize": "39a05f5d3b76168a5f36960cd089c6320dff26b1bd0d39d994d5f9b30301fd78",
+    "realize mixed": "d7ee710fcbc3d0b1b775d5217f30ab6b60de17829b808954c5466ec2dd182065",
     "jdim exact": "dc3f4536cf46164ec14a6c4ac42b137c4af098fe4c17437b3a05ec122a0fc730",
     "jdim lower_bound": "8387cd30962a58b94f8eba8d069a272a53b94bc88d662ad5526bd384a0c1e6af",
 }

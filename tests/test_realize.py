@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from qpcalc import QQ, double_an
+from qpcalc.field import PreconditionError
 from qpcalc.monomial import potential_from_kappa
 from qpcalc.realize import (
     X,
@@ -12,8 +19,10 @@ from qpcalc.realize import (
     contraction_relations,
     emit_presentation,
     h_row,
+    linear_part,
     pair_rank,
     solve_g_system,
+    to_sympy,
 )
 
 
@@ -101,9 +110,110 @@ def test_contraction_relations_match_derivatives():
 
 
 def test_presentation_flags_missing_square():
-    data = emit_presentation(solve_g_system(2, {(3, 2): QQ(1)}))
-    assert data["g"] == ["y", "x", "-y", "-x", "2*x + y"]
+    gs = solve_g_system(2, {(3, 2): QQ(1)})
+    assert [str(g) for g in gs] == ["y", "x", "-y", "-x", "2*x + y"]
+    data = emit_presentation(gs)
     assert data["curves"][0] == {"index": 1, "type": "(-2,0)", "loop": "x"}
     assert data["curves"][1] == {"index": 2, "type": "(-1,-1)"}
     assert data["vertex0"]["type"] == "(-1,-1)"
     assert data["modules"] == [["u", "y"], ["u", "-y**2"]]
+
+
+# -- the ring pipeline against the expression pipeline it replaced -----------------
+
+
+def expression_chain(n, kappa, anchor):
+    """The three-term recursion on sympy expressions, expanded at every step."""
+    gs = [None] * (2 * n + 1)
+    gs[anchor], gs[anchor + 1] = Y, X
+
+    def step(i):
+        acc = sp.Integer(0)
+        for (slot, j), c in kappa.items():
+            if slot == i:
+                acc += j * to_sympy(c) * gs[i] ** (j - 1)
+        return acc
+
+    for i in range(anchor + 1, 2 * n):
+        gs[i + 1] = sp.expand(-gs[i - 1] - step(i))
+    for i in range(anchor, 0, -1):
+        gs[i - 1] = sp.expand(-gs[i + 1] - step(i))
+    return gs
+
+
+def expression_curve(g1, g2):
+    if pair_rank(g1, g2) == 2:
+        return {"type": "(-1,-1)"}
+    c1, c2 = linear_part(g1), linear_part(g2)
+    if c1[0] == 0 and c2[0] == 0:
+        return {"type": "(-2,0)", "loop": "x"}
+    if c1[1] == 0 and c2[1] == 0:
+        return {"type": "(-2,0)", "loop": "y"}
+    return {"type": "(-2,0)", "loop": "x+y"}
+
+
+@st.composite
+def tables_and_anchors(draw):
+    n = draw(st.integers(2, 4))
+    coeff = st.builds(QQ, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    kappa = {(i, 2): c for i, c in draw(
+        st.dictionaries(st.integers(1, 2 * n - 1), coeff, max_size=2 * n - 1)).items()}
+    # few higher powers: the degree of the chain multiplies by j - 1 at each one
+    kappa.update(draw(st.dictionaries(
+        st.tuples(st.integers(1, 2 * n - 1), st.integers(3, 5)), coeff, max_size=2)))
+    return n, kappa, draw(st.integers(0, 2 * n - 1))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(tables_and_anchors())
+def test_ring_pipeline_matches_expression_pipeline(case):
+    n, kappa, anchor = case
+    gs = solve_g_system(n, kappa, anchor)
+    assert gs == expression_chain(n, kappa, anchor)
+
+    factors = gs[0::2]
+    data = emit_presentation(gs)
+    assert data["hypersurface"] == f"u*v = {sp.expand(sp.prod(factors))}"
+    assert data["modules"] == [
+        ["u", str(sp.expand(sp.prod(factors[: i + 1])))] for i in range(n)]
+    assert data["curves"] == [
+        {"index": i, **expression_curve(factors[i - 1], factors[i])} for i in range(1, n + 1)]
+    assert data["vertex0"] == expression_curve(factors[0], factors[n])
+
+
+def test_g_system_preconditions():
+    with pytest.raises(PreconditionError, match="anchor 4 outside 0..3"):
+        solve_g_system(2, {}, anchor_index=4)
+    with pytest.raises(PreconditionError, match="dependent linear parts"):
+        solve_g_system(2, {}, anchor_values=(X + X**2, 2 * X))
+
+
+def test_g_system_preconditions_survive_optimize():
+    """Under python -O the anchor checks still raise, and qp realize still exits 1."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    script = (
+        "import io, json, os, sys, tempfile\n"
+        "from qpcalc.cli import main\n"
+        "from qpcalc.field import PreconditionError\n"
+        "from qpcalc.realize import X, solve_g_system\n"
+        "for kwargs in ({'anchor_index': 9}, {'anchor_values': (X, -X)}):\n"
+        "    try:\n"
+        "        solve_g_system(2, {}, **kwargs)\n"
+        "    except PreconditionError as exc:\n"
+        "        print('raised', exc)\n"
+        "path = os.path.join(tempfile.mkdtemp(), 'k.json')\n"
+        "with open(path, 'w') as fh:\n"
+        "    json.dump({'n': 2, 'kappa': []}, fh)\n"
+        "sys.stderr = io.StringIO()\n"
+        "code = main(['realize', '--input', path, '--anchor', '4'])\n"
+        "print('exit', code, sys.stderr.getvalue().strip())\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == [
+        "raised anchor 9 outside 0..3",
+        "raised anchor pair has dependent linear parts",
+        "exit 1 qp: precondition failed: anchor 4 outside 0..3",
+    ]
