@@ -1,4 +1,11 @@
-"""Exact calculus for potentials on doubled type-A quivers."""
+"""Exact calculus for potentials on doubled type-A quivers.
+
+The realization names (``a3_realize``, ``contraction_relations``,
+``emit_presentation``, ``h_row``, ``solve_g_system``) live in
+``qpcalc.realize``, the one module that imports sympy. They resolve on
+first access through the module ``__getattr__`` (PEP 562), so importing
+the package does not load sympy.
+"""
 
 from .field import QQ, rational, rational_str
 from .quiver import double_an, DoubledPathQuiver, Quiver
@@ -22,13 +29,6 @@ from .monomial import (
     potential_from_kappa,
     rescale_middle,
     type_a_report,
-)
-from .realize import (
-    a3_realize,
-    contraction_relations,
-    emit_presentation,
-    h_row,
-    solve_g_system,
 )
 from .a3 import (
     A3Class,
@@ -106,3 +106,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_REALIZE_NAMES = frozenset({
+    "a3_realize",
+    "contraction_relations",
+    "emit_presentation",
+    "h_row",
+    "solve_g_system",
+})
+
+
+def __getattr__(name: str):
+    if name in _REALIZE_NAMES:
+        from . import realize
+
+        return getattr(realize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _REALIZE_NAMES)

@@ -6,6 +6,11 @@ classification with its flops and orbits, and the cyclic-quiver basis and
 exactness checks. All input and output is JSON with sorted keys and
 "p/q" rationals, so identical invocations produce identical bytes.
 
+sympy is loaded only by ``qp realize``: ``cmd_realize`` imports
+``qpcalc.realize`` when it runs, so every other subcommand starts without
+it. The lookup happens at each call, so ``qp realize`` uses whatever
+``qpcalc.realize`` holds at that moment.
+
 Exit codes: 0 on success, 1 on malformed input or violated preconditions,
 2 when the computation is inconclusive (a lower-bound-only dimension, a
 failed verification check).
@@ -18,8 +23,6 @@ import functools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence
-
-import sympy as sp
 
 from .a3 import (
     NotOnQ,
@@ -38,7 +41,6 @@ from .field import QQ, PreconditionError, rational, rational_str
 from .jacobi import EXACT, DimensionReport, jdim
 from .monomial import monomialize, type_a_report
 from .quiver import DoubledPathQuiver
-from .realize import contraction_relations, emit_presentation, solve_g_system
 from .serialize import (
     SchemaError,
     element_to_json,
@@ -151,16 +153,13 @@ def cmd_typea_check(args) -> int:
     return 0
 
 
-def _monomial_strings(g: sp.Expr) -> List[str]:
-    parts = [str(t) for t in sp.Add.make_args(g)]
-    return sorted(parts, key=lambda s: (len(s), s))
-
-
 def cmd_realize(args) -> int:
+    from . import realize  # imports sympy; see the module docstring
+
     n, table = kappa_from_json(_load_json(args.input))
     anchor = args.anchor
-    gs = solve_g_system(n, table, anchor)
-    data = emit_presentation(gs)
+    gs = realize.solve_g_system(n, table, anchor)
+    data = realize.emit_presentation(gs)
     arrows = []
     for t in range(n + 1):
         arrows.append({"name": f"a{t}", "tail": t, "head": (t + 1) % (n + 1)})
@@ -173,11 +172,11 @@ def cmd_realize(args) -> int:
             loops.append({"vertex": curve["index"], "label": curve["loop"]})
     relations = [
         {"label": label, "terms": element_to_json(el)}
-        for label, el in contraction_relations(n, table, args.max_degree)
+        for label, el in realize.contraction_relations(n, table, args.max_degree)
     ]
     _emit({
         "anchor": anchor,
-        "gs": [_monomial_strings(g) for g in gs],
+        "gs": [realize.monomial_strings(g) for g in gs],
         "equation": data["hypersurface"],
         "modules": data["modules"],
         "bundles": [curve["type"] for curve in data["curves"]],

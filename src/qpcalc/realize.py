@@ -20,6 +20,11 @@ those of an expression pipeline. ``emit_presentation`` returns the keys
 ``n``, ``hypersurface``, ``modules``, ``curves`` and ``vertex0``.
 ``linear_part`` and ``pair_rank`` work on expressions and serve only as
 the tests' oracle.
+
+This is the only module of the package that imports sympy, and nothing
+imports it at load time: ``qp realize`` imports it when it runs, and the
+package resolves the realization names on first access. A process that
+never computes a realization never loads sympy.
 """
 
 from __future__ import annotations
@@ -117,6 +122,12 @@ def _curve(l1: Tuple[object, object], l2: Tuple[object, object]) -> Dict[str, st
     else:
         label = "x+y"
     return {"type": "(-2,0)", "loop": label}
+
+
+def monomial_strings(g: sp.Expr) -> List[str]:
+    """The printed terms of g, shortest first (ties in string order)."""
+    parts = [str(t) for t in sp.Add.make_args(g)]
+    return sorted(parts, key=lambda s: (len(s), s))
 
 
 def emit_presentation(gs: List[sp.Expr]) -> Dict[str, object]:

@@ -54,11 +54,17 @@ from .series import NCElement
 
 
 class Rule:
-    __slots__ = ("lead", "tail")
+    """lead -> tail. A rule is never changed in place: a new tail makes a new Rule."""
+
+    __slots__ = ("lead", "tail", "steps")
 
     def __init__(self, lead: Word, tail: NCElement):
         self.lead = lead
         self.tail = tail
+        # per tail word: its arrows, its coefficient, and what a rewrite adds to the weight
+        weight_of = tail.quiver.weight_of
+        lead_weight = weight_of(lead)
+        self.steps = [(w[1], c, weight_of(w) - lead_weight) for w, c in tail.terms.items()]
 
     def as_element(self) -> NCElement:
         lead_el = NCElement.from_word(self.tail.quiver, self.tail.truncation, self.lead)
@@ -104,7 +110,9 @@ class ReductionSystem:
 
         A worklist: each relation is reduced, and before its rule goes in,
         every rule whose lead contains the new lead is retired and its
-        relation queued. Tails are re-reduced once, if any rule went in.
+        relation queued. If any rule went in, each tail that holds a
+        reducible word is re-reduced once; an irreducible tail is its own
+        normal form and stays as it is.
         """
         assert el.quiver is self.quiver
         inserted: List[int] = []
@@ -130,10 +138,9 @@ class ReductionSystem:
             inserted.append(rid)
         if not inserted:
             return None
-        for rule in self.rules.values():
-            reduced = self.reduce(rule.tail)
-            if reduced.terms != rule.tail.terms:
-                rule.tail = reduced
+        for rid, rule in self.rules.items():
+            if any(self._find_redex(w, 0) is not None for w in rule.tail.terms):
+                self.rules[rid] = Rule(rule.lead, self.reduce(rule.tail))
                 self._nf_cache.clear()
         return inserted[0]
 
@@ -175,11 +182,12 @@ class ReductionSystem:
         rule = self.rules[rid]
         lead_len = len(rule.lead[1])
         out: Dict[Word, QQ] = {}
-        cap = self.truncation
-        for (mt, mids), coeff in rule.tail.terms.items():
-            new = (tail_vertex, ids[:pos] + mids + ids[pos + lead_len :])
-            if self.quiver.weight_of(new) >= cap:
+        # a new word weighs weight(word) + gain, and is kept below the truncation
+        room = self.truncation - self.quiver.weight_of(word)
+        for mids, coeff, gain in rule.steps:
+            if gain >= room:
                 continue
+            new = (tail_vertex, ids[:pos] + mids + ids[pos + lead_len :])
             old = out.get(new)
             if old is None:
                 out[new] = coeff

@@ -73,10 +73,11 @@ def _word_from_entry(quiver: DoubledPathQuiver, entry) -> Tuple[Tuple, QQ]:
     )
     unknown = [s for s in names if s not in quiver.by_name]
     _require(not unknown, f"unknown arrow names {unknown}")
-    try:
-        word = quiver.word_from_names(names)
-    except AssertionError as exc:
-        raise SchemaError(f"arrows do not compose: {exc}") from None
+    arrows = [quiver.by_name[s] for s in names]
+    for before, after in zip(arrows, arrows[1:]):
+        _require(before.head == after.tail,
+                 f"arrows do not compose: non-composable at {after.name}")
+    word = quiver.word_from_names(names)
     _require(
         quiver.head_of(word) == word[0],
         f"term {'*'.join(names)} is not a closed cycle",

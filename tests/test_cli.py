@@ -7,9 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import qpcalc
+from qpcalc import realize
 from qpcalc.cli import main
 from qpcalc.rewrite import ReductionSystem
 from qpcalc.serialize import potential_from_json
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -227,14 +231,29 @@ def test_malformed_inputs_exit_one(tmp_path, capsys):
 def test_monomialize_precondition_survives_optimize(tmp_path):
     """Under python -O a violated precondition still exits 1 with a message."""
     path = two_cycle_file(tmp_path, kxy="0")  # not Type A
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-O", "-m", "qpcalc.cli", "monomialize",
                            "--input", path], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 1, proc.stderr[-2000:]
     assert proc.stderr.startswith("qp: precondition failed: missing consecutive products")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_non_composable_term_survives_optimize(tmp_path):
+    """Under python -O a term whose arrows do not compose still exits 1."""
+    path = write(tmp_path, "nc.json", {
+        "quiver": {"n": 2, "loopless": []},
+        "truncation": 6,
+        "terms": [{"coeff": "1", "arrows": ["a2", "a1", "b2"]}],
+    })
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-O", "-m", "qpcalc.cli", "jdim",
+                           "--input", path], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr.startswith("qp: schema error: arrows do not compose")
     assert proc.stdout == ""
 
 
@@ -318,3 +337,70 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, case):
     assert main(_pinned_argv(tmp_path, case)) == PINNED_EXIT.get(case, 0)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[case]
+
+
+# -- sympy loads only on the realize path ----------------------------------------------
+
+LAZY_SYMPY_SCRIPT = """
+import contextlib, io, json, sys
+from qpcalc.cli import main
+
+paths = json.loads(sys.argv[1])
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+codes = [
+    run("jdim", "--input", paths["two_cycle"]),
+    run("monomialize", "--input", paths["type_a"]),
+    run("a3", "classify", "--input", paths["two_cycle"]),
+    run("diamond", "--n", "2", "--max-degree", "8", "--check", "overlaps"),
+]
+print(codes, "sympy" in sys.modules)
+print(run("realize", "--input", paths["kappa"]), "sympy" in sys.modules)
+"""
+
+
+def test_only_realize_loads_sympy(tmp_path):
+    # a fresh interpreter: the test session itself has sympy loaded already
+    paths = {
+        "two_cycle": two_cycle_file(tmp_path, truncation=8),
+        "type_a": write(tmp_path, "g.json", TYPE_A_INPUT),
+        "kappa": write(tmp_path, "k.json", KAPPA_INPUT),
+    }
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", LAZY_SYMPY_SCRIPT, json.dumps(paths)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0] False", "0 True"]
+
+
+def test_package_names_resolve_and_are_listed():
+    listed = dir(qpcalc)
+    for name in qpcalc.__all__:
+        assert getattr(qpcalc, name) is not None
+        assert name in listed
+    assert qpcalc.solve_g_system is realize.solve_g_system
+    namespace = {}
+    exec("from qpcalc import *", namespace)
+    assert set(qpcalc.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qpcalc.no_such_name
+
+
+def test_realize_sees_a_patched_solver(tmp_path, capsys, monkeypatch):
+    # qp realize looks the solver up when it runs, so a patch of the module
+    # attribute (the benchmark tracer makes one) is what it calls
+    calls = []
+    original = realize.solve_g_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(realize, "solve_g_system", counting)
+    code, payload = run(capsys, "realize", "--input", write(tmp_path, "k.json", KAPPA_INPUT),
+                        "--anchor", "2")
+    assert code == 0 and payload["gs"][2] == ["y"]
+    assert len(calls) == 1

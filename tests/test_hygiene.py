@@ -44,6 +44,42 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports {unused} but never uses them"
 
 
+def _imports(tree: ast.Module):
+    """(imported module names, innermost enclosing function or None) per import.
+
+    Relative imports are resolved against the package; ``from a import b``
+    names both ``a`` and ``a.b``, since b may be a submodule.
+    """
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                yield [alias.name for alias in child.names], scope
+            elif isinstance(child, ast.ImportFrom):
+                base = ".".join(filter(None, ["qpcalc" if child.level else None, child.module]))
+                yield [base] + [f"{base}.{alias.name}" for alias in child.names], scope
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def _is_module(name: str, module: str) -> bool:
+    return name == module or name.startswith(module + ".")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_sympy_stays_behind_realize(path):
+    # sympy costs most of a process's start-up, and only realizations need it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for names, scope in _imports(tree):
+        if path.name != "realize.py":
+            assert not any(_is_module(n, "sympy") for n in names), \
+                f"{path.name} imports sympy; only realize.py may"
+        if any(_is_module(n, "qpcalc.realize") for n in names):
+            allowed = scope == "__getattr__" if path.name == "__init__.py" else scope is not None
+            assert allowed, f"{path.name} imports qpcalc.realize outside a function"
+
+
 def _bench_traced():
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

@@ -156,6 +156,19 @@ def test_reduce_leaves_no_zero_and_nothing_heavy():
     assert out.terms == {word(q, ["v", "u", "u"]): QQ(2, 3)}
 
 
+def test_rewrites_are_cut_by_weight_not_length():
+    # x weighs 1 and y weighs 2: the rule x y -> x^4 adds one to the weight
+    # and two to the length, so x x y (weight 4, length 3) rewrites to x^5,
+    # which a cut by length would keep at D = 5
+    q = Quiver([1], [("x", 1, 1, 1), ("y", 1, 1, 2)])
+    for D, expected in ((5, {}), (6, {word(q, ["x"] * 5): 1})):
+        sys = ReductionSystem(q, D)
+        sys.add_relation(NCElement.from_word(q, D, word(q, ["x", "y"]))
+                         - NCElement.from_word(q, D, word(q, ["x"] * 4)))
+        xxy = NCElement.from_word(q, D, word(q, ["x", "x", "y"]))
+        assert sys.reduce(xxy).terms == expected
+
+
 def test_ambiguities_report_unresolved_words_before_completion():
     q = two_loop_quiver()
     D = 8
