@@ -1,10 +1,8 @@
 """Exact calculus for potentials on doubled type-A quivers.
 
-The realization names (``a3_realize``, ``contraction_relations``,
-``emit_presentation``, ``h_row``, ``solve_g_system``) live in
-``qpcalc.realize``, the one module that imports sympy. They resolve on
-first access through the module ``__getattr__`` (PEP 562), so importing
-the package does not load sympy.
+Scalars are exact rationals (``qpcalc.field``) and the realization's
+polynomials are the package's own Q[x, y] (``qpcalc.realize.Poly``), so
+nothing outside the standard library is required.
 """
 
 from .field import QQ, rational, rational_str
@@ -45,6 +43,13 @@ from .a3 import (
     normalize,
     swap_class,
     xy_potential,
+)
+from .realize import (
+    a3_realize,
+    contraction_relations,
+    emit_presentation,
+    h_row,
+    solve_g_system,
 )
 from .appendix import appendix_checks, appendix_quiver, exactness_check
 from .serialize import potential_from_json, potential_to_json
@@ -106,23 +111,3 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
-
-_REALIZE_NAMES = frozenset({
-    "a3_realize",
-    "contraction_relations",
-    "emit_presentation",
-    "h_row",
-    "solve_g_system",
-})
-
-
-def __getattr__(name: str):
-    if name in _REALIZE_NAMES:
-        from . import realize
-
-        return getattr(realize, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _REALIZE_NAMES)

@@ -6,10 +6,8 @@ classification with its flops and orbits, and the cyclic-quiver basis and
 exactness checks. All input and output is JSON with sorted keys and
 "p/q" rationals, so identical invocations produce identical bytes.
 
-sympy is loaded only by ``qp realize``: ``cmd_realize`` imports
-``qpcalc.realize`` when it runs, so every other subcommand starts without
-it. The lookup happens at each call, so ``qp realize`` uses whatever
-``qpcalc.realize`` holds at that moment.
+``qp realize`` looks its steps up on the ``qpcalc.realize`` module at each
+call, so it uses whatever that module holds at that moment.
 
 Exit codes: 0 on success, 1 on malformed input or violated preconditions,
 2 when the computation is inconclusive (a lower-bound-only dimension, a
@@ -24,6 +22,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from . import realize
 from .a3 import (
     NotOnQ,
     apq_orbit,
@@ -154,8 +153,6 @@ def cmd_typea_check(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    from . import realize  # imports sympy; see the module docstring
-
     n, table = kappa_from_json(_load_json(args.input))
     anchor = args.anchor
     gs = realize.solve_g_system(n, table, anchor)

@@ -11,51 +11,90 @@ together with a chain of ideal modules; each curve of the resolution sits
 between two even-index factors, and its normal bundle type is read off
 from the determinant of their linear parts.
 
-The arithmetic runs in sympy's sparse polynomial ring Q[x, y]: each
-product is expanded once, as a dict of monomials, and linear parts are
-read off as coefficients. sympy expressions are built only where they are
-handed out or printed; a ring element's ``as_expr()`` is the same
-canonical expression that ``sp.expand`` gives, so the printed strings are
-those of an expression pipeline. ``emit_presentation`` returns the keys
-``n``, ``hypersurface``, ``modules``, ``curves`` and ``vertex0``.
-``linear_part`` and ``pair_rank`` work on expressions and serve only as
-the tests' oracle.
-
-This is the only module of the package that imports sympy, and nothing
-imports it at load time: ``qp realize`` imports it when it runs, and the
-package resolves the realization names on first access. A process that
-never computes a realization never loads sympy.
+The arithmetic runs in ``Poly``, a dict-of-monomials Q[x, y] over the
+package's rationals. Every g lies in the ideal (x, y), since the anchor
+pair has no constant term and every power in the table is at least 2; on
+that domain ``str`` prints what sympy prints for the expanded polynomial.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import sympy as sp
-from sympy.polys.domains import QQ as RING_QQ
-from sympy.polys.rings import PolyElement, ring
-
-from .field import QQ, ZERO, PreconditionError
+from .field import ONE, QQ, ZERO, PreconditionError
 from .quiver import DoubledPathQuiver, double_an
 from .series import NCElement
 
-X, Y = sp.symbols("x y")
-
-#: Q[x, y] with x, y printed as the symbols X, Y
-RING, RX, RY = ring([X, Y], RING_QQ)
-
+Monomial = Tuple[int, int]
 KappaTable = Dict[Tuple[int, int], QQ]
 
 
-def to_sympy(c: QQ) -> sp.Rational:
-    return sp.Rational(int(c.numerator), int(c.denominator))
+class Poly:
+    """A polynomial in Q[x, y]: exponent pairs (deg_x, deg_y) to nonzero rationals."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[Dict[Monomial, QQ]] = None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def linear(self) -> Tuple[QQ, QQ]:
+        return (self.terms.get((1, 0), ZERO), self.terms.get((0, 1), ZERO))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.terms == other.terms
+
+    def __add__(self, other: "Poly") -> "Poly":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, ZERO) + c
+        return Poly(out)
+
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + -other
+
+    def __mul__(self, other) -> "Poly":
+        if isinstance(other, (int, QQ)):
+            return Poly({m: c * other for m, c in self.terms.items()})
+        out: Dict[Monomial, QQ] = {}
+        for (a, b), c in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                m = (a + a2, b + b2)
+                out[m] = out.get(m, ZERO) + c * c2
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Poly":
+        acc = Poly({(0, 0): ONE})
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
+    def term_strings(self) -> List[str]:
+        """Each term as sympy prints it alone, in descending lex order of (deg_x, deg_y)."""
+        out = []
+        for (a, b), c in sorted(self.terms.items(), reverse=True):
+            factors = [v if e == 1 else f"{v}**{e}" for v, e in (("x", a), ("y", b)) if e]
+            num = abs(c.numerator)
+            if num != 1 or not factors:
+                factors.insert(0, str(num))
+            den = f"/{c.denominator}" if c.denominator != 1 else ""
+            out.append(("-" if c < 0 else "") + "*".join(factors) + den)
+        return out
+
+    def __str__(self) -> str:
+        return " + ".join(self.term_strings()).replace(" + -", " - ") or "0"
+
+    __repr__ = __str__
 
 
-def _ring_linear(p: PolyElement) -> Tuple[object, object]:
-    return (p.coeff(RX), p.coeff(RY))
+X, Y = Poly({(1, 0): ONE}), Poly({(0, 1): ONE})
 
 
-def _det(a: Tuple[object, object], b: Tuple[object, object]):
+def _det(a: Tuple[QQ, QQ], b: Tuple[QQ, QQ]) -> QQ:
     return a[0] * b[1] - a[1] * b[0]
 
 
@@ -63,55 +102,49 @@ def solve_g_system(
     n: int,
     kappa: KappaTable,
     anchor_index: int = 0,
-    anchor_values: Optional[Tuple[sp.Expr, sp.Expr]] = None,
-) -> List[sp.Expr]:
+    anchor_values: Optional[Tuple[Poly, Poly]] = None,
+) -> List[Poly]:
     """Solve the three-term recursion on the full doubled path (2n-1 slots).
 
     The pair (g_t, g_{t+1}) at t = anchor_index is prescribed (default
     (y, x)); every other g is forced. The 2x2 determinant of consecutive
     linear parts is an invariant of the chain, so it must not vanish at
     the anchor pair. Raises PreconditionError for an anchor outside
-    0..2n-1 or an anchor pair with dependent linear parts.
+    0..2n-1, an anchor value with a constant term, an anchor pair with
+    dependent linear parts, or a power below 2 in kappa.
     """
     m = 2 * n - 1
     if not 0 <= anchor_index <= m:
         raise PreconditionError(f"anchor {anchor_index} outside 0..{m}")
-    lo, hi = (RY, RX) if anchor_values is None else map(RING, anchor_values)
-    if _det(_ring_linear(lo), _ring_linear(hi)) == 0:
+    lo, hi = (Y, X) if anchor_values is None else anchor_values
+    if (0, 0) in lo.terms or (0, 0) in hi.terms:
+        raise PreconditionError("anchor value has a constant term")
+    if _det(lo.linear(), hi.linear()) == 0:
         raise PreconditionError("anchor pair has dependent linear parts")
+    if any(j < 2 for _, j in kappa):
+        raise PreconditionError("kappa has a power below 2")
 
-    def step(i: int) -> PolyElement:
-        acc = RING.zero
+    def step(i: int) -> Poly:
+        acc = Poly()
         for (slot, j), c in kappa.items():
             if slot == i:
-                acc += ps[i] ** (j - 1) * (j * RING_QQ(int(c.numerator), int(c.denominator)))
+                acc += ps[i] ** (j - 1) * (j * c)
         return acc
 
-    ps: List[PolyElement] = [RING.zero] * (2 * n + 1)
+    ps: List[Poly] = [Poly()] * (2 * n + 1)
     ps[anchor_index], ps[anchor_index + 1] = lo, hi
     for i in range(anchor_index + 1, m + 1):
         ps[i + 1] = -ps[i - 1] - step(i)
     for i in range(anchor_index, 0, -1):
         ps[i - 1] = -ps[i + 1] - step(i)
 
-    lins = [_ring_linear(p) for p in ps]
+    lins = [p.linear() for p in ps]
     assert len({_det(lins[i], lins[i + 1]) for i in range(2 * n)}) == 1, \
         "determinant of consecutive linear parts is not invariant"
-    return [p.as_expr() for p in ps]
+    return ps
 
 
-def linear_part(g: sp.Expr) -> Tuple[sp.Rational, sp.Rational]:
-    """Coefficients of x and y in g; the tests' expression-side oracle."""
-    p = sp.Poly(g, X, Y)
-    return (p.coeff_monomial(X), p.coeff_monomial(Y))
-
-
-def pair_rank(g1: sp.Expr, g2: sp.Expr) -> int:
-    """Rank of the linear parts of g1, g2; the tests' expression-side oracle."""
-    return sp.Matrix([linear_part(g1), linear_part(g2)]).rank()
-
-
-def _curve(l1: Tuple[object, object], l2: Tuple[object, object]) -> Dict[str, str]:
+def _curve(l1: Tuple[QQ, QQ], l2: Tuple[QQ, QQ]) -> Dict[str, str]:
     """Normal bundle type of the curve between factors with linear parts l1, l2."""
     if _det(l1, l2) != 0:
         return {"type": "(-1,-1)"}
@@ -124,27 +157,26 @@ def _curve(l1: Tuple[object, object], l2: Tuple[object, object]) -> Dict[str, st
     return {"type": "(-2,0)", "loop": label}
 
 
-def monomial_strings(g: sp.Expr) -> List[str]:
+def monomial_strings(g: Poly) -> List[str]:
     """The printed terms of g, shortest first (ties in string order)."""
-    parts = [str(t) for t in sp.Add.make_args(g)]
-    return sorted(parts, key=lambda s: (len(s), s))
+    return sorted(g.term_strings(), key=lambda s: (len(s), s))
 
 
-def emit_presentation(gs: List[sp.Expr]) -> Dict[str, object]:
+def emit_presentation(gs: List[Poly]) -> Dict[str, object]:
     """Hypersurface, modules and curve types of a chain g_0..g_2n from solve_g_system."""
     n = (len(gs) - 1) // 2
-    factors = [RING(gs[2 * i]) for i in range(n + 1)]
-    lins = [_ring_linear(p) for p in factors]
+    factors = gs[0::2]
+    lins = [p.linear() for p in factors]
     modules = []
-    running = RING.one
+    running = Poly({(0, 0): ONE})
     for i in range(n):
         running *= factors[i]
-        modules.append(["u", str(running.as_expr())])
+        modules.append(["u", str(running)])
     uv = running * factors[n]
     curves = [{"index": i, **_curve(lins[i - 1], lins[i])} for i in range(1, n + 1)]
     return {
         "n": n,
-        "hypersurface": f"u*v = {uv.as_expr()}",
+        "hypersurface": f"u*v = {uv}",
         "modules": modules,
         "curves": curves,
         "vertex0": _curve(lins[0], lins[n]),
@@ -164,7 +196,8 @@ def contraction_relations(
     derivative relations of the monomial potential with table kappa.
     """
     q = quiver if quiver is not None else double_an(n)
-    assert isinstance(q, DoubledPathQuiver) and q.n == n and not q.loopless
+    if not (isinstance(q, DoubledPathQuiver) and q.n == n and not q.loopless):
+        raise PreconditionError(f"relations need the full doubled path on {n} vertices")
     D = truncation
 
     def x_power(i: int, k: int) -> NCElement:
@@ -232,23 +265,13 @@ def a3_kappa_table(
         (4, 2): QQ(-1),
     }
 
-    def bump(key, c):
+    for name, c, slot, power in (("p", kappa1, 2, p), ("s", kappa3, 2, s), ("q", kappa2, 4, q)):
         if c == 0:
-            return
-        table[key] = table.get(key, ZERO) + c
-        if table[key] == 0:
-            del table[key]
-
-    if kappa1 != 0:
-        assert p >= 2
-        bump((2, p), kappa1)
-    if kappa3 != 0:
-        assert s >= 2
-        bump((2, s), kappa3)
-    if kappa2 != 0:
-        assert q >= 2
-        bump((4, q), kappa2)
-    return table
+            continue
+        if power < 2:
+            raise PreconditionError(f"power {name}={power} below 2")
+        table[(slot, power)] = table.get((slot, power), ZERO) + c
+    return {key: c for key, c in table.items() if c != 0}
 
 
 def a3_realize(
@@ -258,25 +281,25 @@ def a3_realize(
     optional second x-power) via the canonical lift to the doubled path."""
     table = a3_kappa_table(kappa1, p, kappa2, q, kappa3, s)
     gs = solve_g_system(3, table, anchor_index=2, anchor_values=(X, X + Y))
-    hs = (sp.expand(-gs[0]), gs[2], gs[4], sp.expand(-gs[6]))
+    hs = (-gs[0], gs[2], gs[4], -gs[6])
     data = emit_presentation(gs)
     data["h"] = [str(h) for h in hs]
     return data
 
 
-def h_row(family: int, *params) -> Tuple[sp.Expr, sp.Expr, sp.Expr, sp.Expr]:
+def h_row(family: int, *params) -> Tuple[Poly, Poly, Poly, Poly]:
     """Factor tuple (h_0, h_1, h_2, h_3) with u v = h_0 h_1 h_2 h_3, per family."""
     if family == 1:
         (lam,) = params
-        return (2 * X + Y, X, Y, X + 2 * to_sympy(lam) * Y)
+        return (2 * X + Y, X, Y, X + 2 * lam * Y)
     if family == 2:
         (s,) = params
-        return (2 * X + Y + s * X ** (s - 1), X, Y, X + sp.Rational(1, 2) * Y)
+        return (2 * X + Y + s * X ** (s - 1), X, Y, X + QQ(1, 2) * Y)
     if family == 3:
         p, q = params
         return (p * X ** (p - 1) + Y, X, Y, X + q * Y ** (q - 1))
     if family == 4:
-        return (2 * X + Y, X, Y, X + sp.Rational(1, 2) * Y)
+        return (2 * X + Y, X, Y, X + QQ(1, 2) * Y)
     if family == 5:
         (p,) = params
         return (p * X ** (p - 1) + Y, X, Y, X)

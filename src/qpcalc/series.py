@@ -135,11 +135,6 @@ class NCElement:
     def coeff(self, word: Word) -> QQ:
         return self.terms.get(word, ZERO)
 
-    def min_weight(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(self.quiver.weight_of(w) for w in self.terms)
-
     def max_weight(self) -> Optional[int]:
         if not self.terms:
             return None

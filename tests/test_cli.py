@@ -339,41 +339,44 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[case]
 
 
-# -- sympy loads only on the realize path ----------------------------------------------
+# -- the package runs without sympy -----------------------------------------------------
 
-LAZY_SYMPY_SCRIPT = """
-import contextlib, io, json, sys
+NO_SYMPY_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
 from qpcalc.cli import main
 
 paths = json.loads(sys.argv[1])
 
 def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return main(list(argv))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 codes = [
-    run("jdim", "--input", paths["two_cycle"]),
-    run("monomialize", "--input", paths["type_a"]),
-    run("a3", "classify", "--input", paths["two_cycle"]),
-    run("diamond", "--n", "2", "--max-degree", "8", "--check", "overlaps"),
+    run("jdim", "--input", paths["two_cycle"])[0],
+    run("monomialize", "--input", paths["type_a"])[0],
+    run("a3", "classify", "--input", paths["two_cycle"])[0],
+    run("diamond", "--n", "2", "--max-degree", "8", "--check", "overlaps")[0],
 ]
-print(codes, "sympy" in sys.modules)
-print(run("realize", "--input", paths["kappa"]), "sympy" in sys.modules)
+print(codes)
+print(*run("realize", "--input", paths["kappa"], "--anchor", "2"))
 """
 
 
-def test_only_realize_loads_sympy(tmp_path):
-    # a fresh interpreter: the test session itself has sympy loaded already
+def test_every_subcommand_runs_without_sympy(tmp_path):
+    # a fresh interpreter, with sympy blocked before the package is imported
     paths = {
         "two_cycle": two_cycle_file(tmp_path, truncation=8),
         "type_a": write(tmp_path, "g.json", TYPE_A_INPUT),
         "kappa": write(tmp_path, "k.json", KAPPA_INPUT),
     }
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", LAZY_SYMPY_SCRIPT, json.dumps(paths)],
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, json.dumps(paths)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0] False", "0 True"]
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0]", f"0 {PINNED_STDOUT['realize']}"]
 
 
 def test_package_names_resolve_and_are_listed():

@@ -39,7 +39,7 @@ def test_derivative_relations_shape():
     f = xy_potential(q, 12)
     rels = jacobi_relations(f)
     assert len(rels) == 4
-    by_lead = {r.min_weight() for r in rels}
+    by_lead = {min(q.weight_of(w) for w in r.terms) for r in rels}
     assert by_lead == {3}
 
 

@@ -14,16 +14,58 @@ from qpcalc.monomial import potential_from_kappa
 from qpcalc.realize import (
     X,
     Y,
+    Poly,
     a3_kappa_table,
     a3_realize,
     contraction_relations,
     emit_presentation,
     h_row,
-    linear_part,
-    pair_rank,
+    monomial_strings,
     solve_g_system,
-    to_sympy,
 )
+
+# -- the sympy oracle -----------------------------------------------------------------
+
+SX, SY = sp.symbols("x y")
+
+
+def to_sympy(c):
+    return sp.Rational(int(c.numerator), int(c.denominator))
+
+
+def to_expr(g: Poly) -> sp.Expr:
+    """g as an expanded sympy expression, built from its terms, not its string."""
+    return sp.Add(*(to_sympy(c) * SX**a * SY**b for (a, b), c in g.terms.items()))
+
+
+def linear_part(g: sp.Expr):
+    """Coefficients of x and y in the expression g."""
+    p = sp.Poly(g, SX, SY)
+    return (p.coeff_monomial(SX), p.coeff_monomial(SY))
+
+
+def pair_rank(g1: sp.Expr, g2: sp.Expr) -> int:
+    """Rank of the linear parts of the expressions g1, g2."""
+    return sp.Matrix([linear_part(g1), linear_part(g2)]).rank()
+
+
+def sympy_terms(e: sp.Expr):
+    """Each printed term of e, keyed by its monomial (deg_x, deg_y)."""
+    return {sp.Poly(t, SX, SY).monoms()[0]: str(t) for t in sp.Add.make_args(e)}
+
+
+coefficients = st.builds(QQ, st.integers(-20, 20).filter(bool), st.integers(1, 12))
+monomials = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(monomials, coefficients, min_size=1, max_size=8))
+def test_printer_matches_sympy(terms):
+    g = Poly(terms)
+    e = sp.expand(to_expr(g))
+    assert str(g) == str(e)
+    assert dict(zip(sorted(g.terms, reverse=True), g.term_strings())) == sympy_terms(e)
+    assert monomial_strings(g) == sorted(sympy_terms(e).values(), key=lambda t: (len(t), t))
 
 
 def test_zero_table_alternates():
@@ -34,7 +76,7 @@ def test_zero_table_alternates():
 def test_anchor_override_propagates_both_ways():
     gs = solve_g_system(2, {}, anchor_index=2, anchor_values=(X, X + Y))
     # downward: g_1 = -g_3, g_0 = -g_2; upward: g_4 = -g_2
-    assert gs == [-X, sp.expand(-X - Y), X, X + Y, -X]
+    assert gs == [-X, -X - Y, X, X + Y, -X]
 
 
 def test_a3_solution_closed_form():
@@ -51,27 +93,26 @@ def test_a3_solution_closed_form():
         -X - 9 * Y,
         -X - 10 * Y,
     ]
-    assert [sp.expand(g - e) for g, e in zip(gs, expected)] == [0] * 7
+    assert gs == expected
 
 
-def a3_h_exprs(k1, p, k2, q, k3=QQ(0), s=0):
-    data = a3_realize(k1, p, k2, q, k3, s)
-    return tuple(sp.sympify(h, locals={"x": X, "y": Y}) for h in data["h"])
+def a3_h_strings(k1, p, k2, q, k3=QQ(0), s=0):
+    return a3_realize(k1, p, k2, q, k3, s)["h"]
 
 
 def test_h_rows_for_all_families():
     lam = QQ(3, 5)
     cases = [
-        (a3_h_exprs(QQ(1), 2, lam, 2), h_row(1, lam)),
-        (a3_h_exprs(QQ(1), 2, QQ(1, 4), 2, QQ(1), 5), h_row(2, 5)),
-        (a3_h_exprs(QQ(1), 3, QQ(1), 4), h_row(3, 3, 4)),
-        (a3_h_exprs(QQ(1), 2, QQ(1, 4), 2), h_row(4)),
-        (a3_h_exprs(QQ(1), 3, QQ(0), 0), h_row(5, 3)),
-        (a3_h_exprs(QQ(0), 0, QQ(1), 4), h_row(6, 4)),
-        (a3_h_exprs(QQ(0), 0, QQ(0), 0), h_row(7)),
+        (a3_h_strings(QQ(1), 2, lam, 2), h_row(1, lam)),
+        (a3_h_strings(QQ(1), 2, QQ(1, 4), 2, QQ(1), 5), h_row(2, 5)),
+        (a3_h_strings(QQ(1), 3, QQ(1), 4), h_row(3, 3, 4)),
+        (a3_h_strings(QQ(1), 2, QQ(1, 4), 2), h_row(4)),
+        (a3_h_strings(QQ(1), 3, QQ(0), 0), h_row(5, 3)),
+        (a3_h_strings(QQ(0), 0, QQ(1), 4), h_row(6, 4)),
+        (a3_h_strings(QQ(0), 0, QQ(0), 0), h_row(7)),
     ]
     for got, want in cases:
-        assert all(sp.expand(g - w) == 0 for g, w in zip(got, want))
+        assert got == [str(to_expr(h)) for h in want]
 
 
 def test_skip_rank_detects_square_coefficient():
@@ -87,7 +128,7 @@ def test_skip_rank_detects_square_coefficient():
                         kappa[(i, 2)] = c
                 if rng.random() < 0.3:
                     kappa[(i, rng.randint(3, 5))] = QQ(rng.randint(1, 3))
-            gs = solve_g_system(n, kappa)
+            gs = [to_expr(g) for g in solve_g_system(n, kappa)]
             for s in range(1, m + 1):
                 expect_full = kappa.get((s, 2), QQ(0)) != 0
                 assert (pair_rank(gs[s - 1], gs[s + 1]) == 2) == expect_full
@@ -125,7 +166,7 @@ def test_presentation_flags_missing_square():
 def expression_chain(n, kappa, anchor):
     """The three-term recursion on sympy expressions, expanded at every step."""
     gs = [None] * (2 * n + 1)
-    gs[anchor], gs[anchor + 1] = Y, X
+    gs[anchor], gs[anchor + 1] = SY, SX
 
     def step(i):
         acc = sp.Integer(0)
@@ -169,9 +210,13 @@ def tables_and_anchors(draw):
 def test_ring_pipeline_matches_expression_pipeline(case):
     n, kappa, anchor = case
     gs = solve_g_system(n, kappa, anchor)
-    assert gs == expression_chain(n, kappa, anchor)
+    es = expression_chain(n, kappa, anchor)
+    assert [to_expr(g) for g in gs] == es
+    assert [str(g) for g in gs] == [str(e) for e in es]
+    assert [monomial_strings(g) for g in gs] == [
+        sorted(sympy_terms(e).values(), key=lambda t: (len(t), t)) for e in es]
 
-    factors = gs[0::2]
+    factors = es[0::2]
     data = emit_presentation(gs)
     assert data["hypersurface"] == f"u*v = {sp.expand(sp.prod(factors))}"
     assert data["modules"] == [
@@ -186,6 +231,18 @@ def test_g_system_preconditions():
         solve_g_system(2, {}, anchor_index=4)
     with pytest.raises(PreconditionError, match="dependent linear parts"):
         solve_g_system(2, {}, anchor_values=(X + X**2, 2 * X))
+    with pytest.raises(PreconditionError, match="constant term"):
+        solve_g_system(2, {}, anchor_values=(X + Poly({(0, 0): QQ(1)}), Y))
+    with pytest.raises(PreconditionError, match="kappa has a power below 2"):
+        solve_g_system(2, {(2, 1): QQ(1)})
+    with pytest.raises(PreconditionError, match="power p=1 below 2"):
+        a3_realize(QQ(1), 1, QQ(0), 0)
+    with pytest.raises(PreconditionError, match="power q=0 below 2"):
+        a3_kappa_table(QQ(0), 0, QQ(1), 0)
+    with pytest.raises(PreconditionError, match="full doubled path on 2 vertices"):
+        contraction_relations(2, {}, 8, quiver=double_an(3))
+    with pytest.raises(PreconditionError, match="full doubled path on 2 vertices"):
+        contraction_relations(2, {}, 8, quiver=double_an(2, loopless=[1]))
 
 
 def test_g_system_preconditions_survive_optimize():
@@ -195,11 +252,20 @@ def test_g_system_preconditions_survive_optimize():
     script = (
         "import io, json, os, sys, tempfile\n"
         "from qpcalc.cli import main\n"
-        "from qpcalc.field import PreconditionError\n"
-        "from qpcalc.realize import X, solve_g_system\n"
-        "for kwargs in ({'anchor_index': 9}, {'anchor_values': (X, -X)}):\n"
+        "from qpcalc import QQ, double_an\n"
+        "from qpcalc.field import ONE, PreconditionError\n"
+        "from qpcalc.realize import X, Y, Poly, a3_realize, contraction_relations, solve_g_system\n"
+        "calls = [\n"
+        "    lambda: solve_g_system(2, {}, anchor_index=9),\n"
+        "    lambda: solve_g_system(2, {}, anchor_values=(X, -X)),\n"
+        "    lambda: solve_g_system(2, {}, anchor_values=(X + Poly({(0, 0): ONE}), Y)),\n"
+        "    lambda: solve_g_system(2, {(2, 1): ONE}),\n"
+        "    lambda: a3_realize(QQ(1), 1, QQ(0), 0),\n"
+        "    lambda: contraction_relations(2, {}, 8, quiver=double_an(3)),\n"
+        "]\n"
+        "for call in calls:\n"
         "    try:\n"
-        "        solve_g_system(2, {}, **kwargs)\n"
+        "        call()\n"
         "    except PreconditionError as exc:\n"
         "        print('raised', exc)\n"
         "path = os.path.join(tempfile.mkdtemp(), 'k.json')\n"
@@ -215,5 +281,9 @@ def test_g_system_preconditions_survive_optimize():
     assert proc.stdout.splitlines() == [
         "raised anchor 9 outside 0..3",
         "raised anchor pair has dependent linear parts",
+        "raised anchor value has a constant term",
+        "raised kappa has a power below 2",
+        "raised power p=1 below 2",
+        "raised relations need the full doubled path on 2 vertices",
         "exit 1 qp: precondition failed: anchor 4 outside 0..3",
     ]

@@ -23,7 +23,7 @@ def test_multiplication_respects_composability():
     assert (a1 * a1).is_zero()  # 1->2 then 1->2 vanishes
 
     x = a1 * b1  # cycle at 1
-    assert x.min_weight() == 2
+    assert min(q.weight_of(w) for w in x.terms) == 2
     assert (x * x).max_weight() == 4
 
 
@@ -31,7 +31,7 @@ def test_truncation_drops_heavy_words():
     q = double_an(1)
     a = NCElement.arrow(q, 4, "a1")
     p = a * a * a  # weight 3 survives at truncation 4
-    assert p.min_weight() == 3
+    assert min(q.weight_of(w) for w in p.terms) == 3
     assert (p * a).is_zero()
 
 
