@@ -568,7 +568,12 @@ def apq_orbit(p: int, q: int, mu: QQ) -> Dict[str, object]:
 
 def apq_relations(p: int, q: int, mu: QQ, truncation: int,
                   quiver: Optional[DoubledPathQuiver] = None) -> List[NCElement]:
-    """The four defining relations of the quaternion-type algebra."""
+    """The four defining relations of the quaternion-type algebra.
+
+    A deliberate oracle, like ``jdim_oracle``: no command uses it. The tests
+    compare the dimension of the quotient these relations present with that
+    of the Jacobi algebra of a potential in the same family.
+    """
     qv = quiver if quiver is not None else a3_quiver()
     D = truncation
     a1, b1 = qv.a_index(1), qv.b_index(1)

@@ -202,11 +202,6 @@ def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
 # -- the five-term complex ---------------------------------------------------------------
 
 
-def _basis(system: ReductionSystem, head: int, weight: int) -> List[Word]:
-    q = system.quiver
-    return sorted(irreducible_words_oracle(q, head, weight))
-
-
 def _image_vec(system: ReductionSystem, source: Word, factors: List[Tuple[Word, QQ, int]]
                ) -> Vec:
     """Right-multiply a basis word by tagged factors and express in coordinates
@@ -252,16 +247,23 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
     b0 = w(1, (q.b(0),))
     an = w(n, (q.a(n),))
     middle_loops = set(q.loop(0, i) for i in range(1, n))
+    bases: Dict[Tuple[int, int], List[Word]] = {}
+
+    def basis(head: int, weight: int) -> List[Word]:
+        # each (head, weight) is enumerated once: v1a at degree d is v2a at d - 2
+        if (head, weight) not in bases:
+            bases[head, weight] = sorted(irreducible_words_oracle(q, head, weight))
+        return bases[head, weight]
 
     degrees = {}
     failures = []
     for d in range(D - 3):
-        v0 = _basis(system, 0, d)
-        v1a = _basis(system, 1, d + 1)
-        v1b = _basis(system, n, d + 1)
-        v2a = _basis(system, 1, d + 3)
-        v2b = _basis(system, n, d + 3)
-        v3 = _basis(system, 0, d + 4)
+        v0 = basis(0, d)
+        v1a = basis(1, d + 1)
+        v1b = basis(n, d + 1)
+        v2a = basis(1, d + 3)
+        v2b = basis(n, d + 3)
+        v3 = basis(0, d + 4)
         ed4 = euler_count(n, d + 4)
 
         d4 = {h: _image_vec(system, h, [(a0, one, 0), (bn, one, 1)]) for h in v0}

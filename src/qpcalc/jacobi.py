@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cycles import Potential
-from .field import QQ
+from .field import ONE, QQ
 from .linalg import RowSpace
 from .quiver import Quiver, Word
 from .series import NCElement
@@ -182,7 +182,7 @@ def jdim_oracle(quiver: Quiver, relations: Iterable[NCElement], truncation: int)
         if not vec:
             continue
         pivot = max(vec)
-        inv = 1 / vec[pivot]
+        inv = ONE / vec[pivot]
         vec = {k: v * inv for k, v in vec.items()}
         space.rows[pivot] = vec
         for a in quiver.arrows:

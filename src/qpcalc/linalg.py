@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List
 
-from .field import QQ, ZERO
+from .field import ONE, QQ, ZERO
 
 
 class RowSpace:
@@ -42,7 +42,7 @@ class RowSpace:
         if not vec:
             return False
         pivot = max(vec)
-        inv = 1 / vec[pivot]
+        inv = ONE / vec[pivot]
         self.rows[pivot] = {k: v * inv for k, v in vec.items()}
         return True
 

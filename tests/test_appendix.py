@@ -147,3 +147,22 @@ def test_confluence_under_random_schedules():
         expected = system.reduce(el)
         for _ in range(20):
             assert system.reduce_random(el, rng) == expected
+
+
+def test_exactness_enumerates_each_basis_once(monkeypatch):
+    import qpcalc.appendix as appendix
+
+    calls = []
+    oracle = appendix.irreducible_words_oracle
+
+    def counting(q, head, weight):
+        calls.append((head, weight))
+        return oracle(q, head, weight)
+
+    monkeypatch.setattr(appendix, "irreducible_words_oracle", counting)
+    assert exactness_check(3, 9)["pass"]
+    # six bases at each of six degrees, but only 26 distinct (head, weight)
+    assert len(calls) == len(set(calls)) == 26
+    # the memo lives in one call: a second check enumerates again
+    exactness_check(3, 9)
+    assert len(calls) == 52

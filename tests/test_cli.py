@@ -188,6 +188,11 @@ def test_a3_apq_orbit(capsys):
     assert payload["members"] == [[2, 3], [3, 2]]
     assert payload["offQ"] is True
 
+    # p^(q/p) = 2^513 is beyond the range of a float; the root stays exact
+    code, payload = run(capsys, "a3", "apq", "--p", "4", "--q", "1026", "--mu", "1")
+    assert code == 0
+    assert payload["lambda"] == f"1/{2**513 * 1026}"
+
 
 def test_diamond_check_passes(capsys):
     code, payload = run(capsys, "diamond", "--n", "2", "--max-degree", "8",

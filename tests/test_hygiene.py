@@ -60,6 +60,16 @@ def test_sympy_stays_behind_realize(path):
         assert name.split(".")[0] != "sympy", f"{path.name} imports {name}"
 
 
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "field.py"],
+                         ids=lambda p: p.name)
+def test_one_scalar_type(path):
+    # scalars come from qpcalc.field alone; a second rational type would be
+    # a second arithmetic path
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for name in _imported_modules(tree):
+        assert name.split(".")[0] != "fractions", f"{path.name} imports {name}"
+
+
 def _bench_traced():
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

@@ -31,3 +31,16 @@ def test_det_dense():
         [QQ(0), QQ(0), QQ(3)],
     ]
     assert det_dense(m) == QQ(-3)
+
+
+def test_int_entries_are_stored_as_exact_rationals():
+    # 1 / 3 on plain ints would give a float; the echelon must stay in QQ
+    space = RowSpace()
+    assert space.insert({"x": 1, "y": 3})
+    assert space.insert({"y": 7, "z": 2})
+    assert not space.insert({"x": 2, "y": 13, "z": 2})
+    assert space.rows == {"y": {"x": QQ(1, 3), "y": QQ(1)}, "z": {"y": QQ(7, 2), "z": QQ(1)}}
+    for row in space.rows.values():
+        assert all(type(v) is QQ for v in row.values())
+    assert space.contains({"x": 1, "y": 10, "z": 2})
+    assert rank_of([{1: 3, 2: 1}, {1: 6, 2: 2}, {2: 5, 3: 1}]) == 2
