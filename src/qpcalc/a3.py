@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .cycles import Potential, canonical_cycle
-from .field import QQ, ZERO, nth_root
+from .field import QQ, ZERO, PreconditionError, nth_root
 from .monomial import _higher_substitution, rescale_middle, type_a_report
 from .quiver import DoubledPathQuiver, Word, double_an
 from .series import NCElement
@@ -528,7 +528,8 @@ def gv_set(cls: A3Class) -> List[int]:
 
 
 def mu_orbit(mu: QQ) -> Set[QQ]:
-    assert mu != 0 and mu != 1
+    if mu == 0 or mu == 1:
+        raise PreconditionError("parameters outside the finite-dimensional range")
     return {mu, 1 - mu, 1 / (1 - mu), mu / (mu - 1), (mu - 1) / mu, 1 / mu}
 
 
@@ -547,14 +548,14 @@ def b_level(p: int, q: int, mu: QQ) -> Optional[QQ]:
 def apq_orbit(p: int, q: int, mu: QQ) -> Dict[str, object]:
     """Derived-equivalence orbit data for the two-parameter family."""
     if (p, q) == (2, 2):
-        assert mu != 0 and mu != 1, "parameters outside the finite-dimensional range"
         values = sorted(mu_orbit(mu))
         out: Dict[str, object] = {
             "kind": "mu_orbit",
             "mu_values": values,
         }
     else:
-        assert mu == 1, "parameters outside the finite-dimensional range"
+        if mu != 1:
+            raise PreconditionError("parameters outside the finite-dimensional range")
         out = {
             "kind": "pair",
             "members": sorted({(p, q), (q, p)}),

@@ -22,7 +22,7 @@ from math import comb
 from typing import Dict, List, Tuple
 
 from .field import QQ, ZERO
-from .linalg import rank_of
+from .linalg import accumulate, rank_of
 from .quiver import Quiver, Word
 from .rewrite import ReductionSystem
 from .series import NCElement
@@ -281,12 +281,7 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
         def compose(vec: Vec, table) -> Vec:
             out: Vec = {}
             for key, c in vec.items():
-                for k2, c2 in table[key].items():
-                    s = out.get(k2, ZERO) + c * c2
-                    if s == 0:
-                        out.pop(k2, None)
-                    else:
-                        out[k2] = s
+                accumulate(out, c, table[key])
             return out
 
         chain_ok = all(not compose(d4[h], d3) for h in v0) and \

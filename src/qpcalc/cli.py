@@ -153,6 +153,8 @@ def cmd_typea_check(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    if args.max_degree < 1:
+        raise CLIError(f"max degree must be at least 1, got {args.max_degree}")
     n, table = kappa_from_json(_load_json(args.input))
     anchor = args.anchor
     gs = realize.solve_g_system(n, table, anchor)

@@ -1,9 +1,7 @@
 """Exact rational scalars.
 
-Every computation in this package is exact. Scalars are gmpy2 ``mpq``
-when gmpy2 is importable, :class:`Rational` otherwise; both expose
-``.numerator`` / ``.denominator`` and the same arithmetic surface, so the
-rest of the package never branches on the backend.
+Every computation in this package is exact. The one scalar type is
+:class:`Rational` (exported as ``QQ``); there is no other backend.
 
 :class:`Rational` is a pair of Python ints kept reduced (gcd 1) with a
 positive denominator. It mixes with ``int`` only: building one from a
@@ -234,13 +232,8 @@ def _reduce(num: int, den: int) -> Rational:
     return _make(num, den)
 
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _ratio = Rational
-
 #: rational constructor: QQ(3), QQ(3, 4); strings go through :func:`rational`
-QQ = _ratio
+QQ = Rational
 
 ZERO = QQ(0)
 ONE = QQ(1)

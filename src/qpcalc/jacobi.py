@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cycles import Potential
-from .field import ONE, QQ
+from .field import QQ
 from .linalg import RowSpace
 from .quiver import Quiver, Word
 from .series import NCElement
@@ -178,13 +178,9 @@ def jdim_oracle(quiver: Quiver, relations: Iterable[NCElement], truncation: int)
         if vec:
             queue.append(vec)
     while queue:
-        vec = space.reduce(queue.popleft())
-        if not vec:
+        vec = space.insert(queue.popleft())
+        if vec is None:
             continue
-        pivot = max(vec)
-        inv = ONE / vec[pivot]
-        vec = {k: v * inv for k, v in vec.items()}
-        space.rows[pivot] = vec
         for a in quiver.arrows:
             left: Dict[Word, QQ] = {}
             right: Dict[Word, QQ] = {}

@@ -1,18 +1,36 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts keyed by arbitrary comparable hashables. RowSpace keeps
-an echelonized spanning set; ranks and membership tests are exact.
+Vectors are dicts keyed by arbitrary comparable hashables. ``accumulate``
+is the package's one sparse ``acc += coeff * vec``; RowSpace keeps an
+echelonized spanning set, and every rank and membership test goes
+through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, Optional
 
-from .field import ONE, QQ, ZERO
+from .field import ONE, QQ
+
+
+def accumulate(acc: Dict[Hashable, QQ], coeff: QQ, vec: Dict[Hashable, QQ]) -> None:
+    """acc += coeff * vec in place, dropping cancelled keys; coeff must be nonzero."""
+    for v, cv in vec.items():
+        # normal forms of irreducible words hold the shared ONE: skip that product
+        t = coeff if cv is ONE else coeff * cv
+        old = acc.get(v)
+        if old is None:
+            acc[v] = t
+        else:
+            s = old + t
+            if s:
+                acc[v] = s
+            else:
+                del acc[v]
 
 
 class RowSpace:
-    """Incremental echelon form; insert returns True when the vector was new."""
+    """Incremental echelon form keyed by pivot (each row's largest key)."""
 
     def __init__(self):
         self.rows: Dict[Hashable, Dict[Hashable, QQ]] = {}
@@ -22,32 +40,25 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, vec: Dict[Hashable, QQ]) -> Dict[Hashable, QQ]:
+        """The remainder of vec against the rows; empty exactly when vec is in the span."""
         vec = {k: v for k, v in vec.items() if v != 0}
         while vec:
             pivot = max(vec)
             row = self.rows.get(pivot)
             if row is None:
                 return vec
-            factor = vec[pivot]
-            for k, v in row.items():
-                acc = vec.get(k, ZERO) - factor * v
-                if acc == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = acc
+            accumulate(vec, -vec[pivot], row)
         return vec
 
-    def insert(self, vec: Dict[Hashable, QQ]) -> bool:
+    def insert(self, vec: Dict[Hashable, QQ]) -> Optional[Dict[Hashable, QQ]]:
+        """Add vec; return the stored normalised row, or None if vec was in the span."""
         vec = self.reduce(vec)
         if not vec:
-            return False
+            return None
         pivot = max(vec)
         inv = ONE / vec[pivot]
-        self.rows[pivot] = {k: v * inv for k, v in vec.items()}
-        return True
-
-    def contains(self, vec: Dict[Hashable, QQ]) -> bool:
-        return not self.reduce(vec)
+        row = self.rows[pivot] = {k: v * inv for k, v in vec.items()}
+        return row
 
 
 def rank_of(vectors) -> int:
@@ -55,32 +66,3 @@ def rank_of(vectors) -> int:
     for v in vectors:
         space.insert(dict(v))
     return space.rank
-
-
-def det_dense(matrix: List[List[QQ]]) -> QQ:
-    """Exact determinant by fraction-friendly Gaussian elimination."""
-    n = len(matrix)
-    if n == 0:
-        return QQ(1)
-    m = [[QQ(x) for x in row] for row in matrix]
-    det = QQ(1)
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] / pivot
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det

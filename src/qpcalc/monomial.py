@@ -396,30 +396,28 @@ def eliminate_loop(f: Potential, vertex: int) -> Potential:
         neighbors = neighbors + NCElement.from_word(q, D, q.x_word(s + 1))
     higher = [(j, mono.kappa_at(s, j)) for (i, j) in mono.kappa if i == s and j >= 3]
 
-    # x_s = -(neighbors + sum_j j kappa_{s,j} x_s^{j-1}) / (2 kappa_{s,2}),
-    # solved by iteration; each round is exact below the truncation
-    inv = -1 / (2 * k2)
-    sol = NCElement.zero(q, D)
-    for _ in range(D + 1):
-        correction = neighbors.copy()
+    def rest(x: NCElement) -> NCElement:
+        """neighbors + sum_j j kappa_{s,j} x^{j-1}: the loop equation less its linear term."""
+        out = neighbors
         for j, kj in higher:
             power = NCElement.lazy(q, D, vertex)
             for _ in range(j - 1):
-                power = power * sol
-            correction = correction + power.scale(j * kj)
-        new_sol = correction.scale(inv)
+                power = power * x
+            out = out + power.scale(j * kj)
+        return out
+
+    # x_s = -rest(x_s) / (2 kappa_{s,2}), solved by iteration; each round is
+    # exact below the truncation
+    inv = -1 / (2 * k2)
+    sol = NCElement.zero(q, D)
+    for _ in range(D + 1):
+        new_sol = rest(sol).scale(inv)
         if new_sol == sol:
             break
         sol = new_sol
     # the derivative equation must hold on the nose below the truncation
-    check = neighbors.copy()
-    check = check + sol.scale(2 * k2)
-    for j, kj in higher:
-        power = NCElement.lazy(q, D, vertex)
-        for _ in range(j - 1):
-            power = power * sol
-        check = check + power.scale(j * kj)
-    assert check.is_zero(), "loop equation not solved below the truncation"
+    assert (rest(sol) + sol.scale(2 * k2)).is_zero(), \
+        "loop equation not solved below the truncation"
 
     sub = Substitution(q, D, {q.a_index(s): sol})
     g = sub.apply_potential(f)

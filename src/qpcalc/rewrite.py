@@ -49,6 +49,7 @@ from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .field import ONE, QQ, ZERO
+from .linalg import accumulate
 from .quiver import Quiver, Word
 from .series import NCElement
 
@@ -236,7 +237,7 @@ class ReductionSystem:
         assert el.quiver is self.quiver
         out: Dict[Word, QQ] = {}
         for word, coeff in el.truncate(self.truncation).terms.items():
-            _accumulate(out, coeff, self.normal_form_word(word))
+            accumulate(out, coeff, self.normal_form_word(word))
         res = NCElement(self.quiver, self.truncation)
         res.terms = out
         return res
@@ -385,24 +386,8 @@ def _combine(expansion: Dict[Word, QQ], cache: Dict[Word, Dict[Word, QQ]]) -> Di
             return cache[u]
     acc: Dict[Word, QQ] = {}
     for u, c in expansion.items():
-        _accumulate(acc, c, cache[u])
+        accumulate(acc, c, cache[u])
     return acc
-
-
-def _accumulate(acc: Dict[Word, QQ], coeff: QQ, nf: Dict[Word, QQ]) -> None:
-    """acc += coeff * nf, dropping cancelled words."""
-    for v, cv in nf.items():
-        # irreducible words cache the shared ONE: skip that product
-        t = coeff if cv is ONE else coeff * cv
-        old = acc.get(v)
-        if old is None:
-            acc[v] = t
-        else:
-            s = old + t
-            if s:
-                acc[v] = s
-            else:
-                del acc[v]
 
 
 def system_from_relations(quiver: Quiver, truncation: int, relations: Iterable[NCElement]) -> ReductionSystem:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-from .field import ONE, QQ, ZERO
-from .linalg import det_dense
+from .field import ONE, QQ
+from .linalg import accumulate, rank_of
 from .quiver import Quiver, Word
 from .series import NCElement
 from .cycles import Potential, canonical_cycle
@@ -70,12 +70,7 @@ class Substitution:
         assert el.quiver is self.quiver
         out: Dict[Word, QQ] = {}
         for word, coeff in el.terms.items():
-            for w, c in self.apply_word(word).terms.items():
-                acc = out.get(w, ZERO) + coeff * c
-                if acc == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
+            accumulate(out, coeff, self.apply_word(word).terms)
         res = NCElement(self.quiver, self.truncation)
         res.terms = out
         return res
@@ -106,19 +101,11 @@ class Substitution:
 
     # -- structure -----------------------------------------------------------
 
-    def linear_part(self):
-        """Matrix L with L[j][i] = coefficient of arrow j inside the image of arrow i."""
-        n = len(self.quiver.arrows)
-        mat = [[ZERO for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            img = self.image_of(i)
-            for (tail, ids), coeff in img.terms.items():
-                if len(ids) == 1:
-                    mat[ids[0]][i] = coeff
-        return mat
-
     def is_invertible(self) -> bool:
-        return det_dense(self.linear_part()) != 0
+        """Whether the linear part (each image's one-arrow terms) has full rank."""
+        linear = ({ids[0]: c for (_tail, ids), c in self.image_of(i).terms.items() if len(ids) == 1}
+                  for i in range(len(self.quiver.arrows)))
+        return rank_of(linear) == len(self.quiver.arrows)
 
     def __repr__(self) -> str:
         bits = []

@@ -233,16 +233,42 @@ def test_malformed_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _qp(*argv, optimize=False):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "qpcalc.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_monomialize_precondition_survives_optimize(tmp_path):
     """Under python -O a violated precondition still exits 1 with a message."""
     path = two_cycle_file(tmp_path, kxy="0")  # not Type A
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-O", "-m", "qpcalc.cli", "monomialize",
-                           "--input", path], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = _qp("monomialize", "--input", path, optimize=True)
     assert proc.returncode == 1, proc.stderr[-2000:]
     assert proc.stderr.startswith("qp: precondition failed: missing consecutive products")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("p, q, mu", [("2", "2", "1"), ("3", "2", "5")])
+def test_apq_out_of_range_survives_optimize(p, q, mu):
+    """Under python -O an apq parameter outside the range still exits 1, as without -O."""
+    argv = ("a3", "apq", "--p", p, "--q", q, "--mu", mu)
+    plain, optimized = _qp(*argv), _qp(*argv, optimize=True)
+    for proc in (plain, optimized):
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        assert proc.stdout == ""
+    expected = "qp: precondition failed: parameters outside the finite-dimensional range\n"
+    assert plain.stderr == optimized.stderr == expected
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_realize_degree_below_one_survives_optimize(tmp_path, degree):
+    """Under python -O a realize truncation below 1 still exits 1 and names the value."""
+    path = write(tmp_path, "k.json", KAPPA_INPUT)
+    proc = _qp("realize", "--input", path, "--max-degree", degree, optimize=True)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr == f"qp: error: max degree must be at least 1, got {degree}\n"
     assert proc.stdout == ""
 
 
@@ -253,10 +279,7 @@ def test_non_composable_term_survives_optimize(tmp_path):
         "truncation": 6,
         "terms": [{"coeff": "1", "arrows": ["a2", "a1", "b2"]}],
     })
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-O", "-m", "qpcalc.cli", "jdim",
-                           "--input", path], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = _qp("jdim", "--input", path, optimize=True)
     assert proc.returncode == 1, proc.stderr[-2000:]
     assert proc.stderr.startswith("qp: schema error: arrows do not compose")
     assert proc.stdout == ""

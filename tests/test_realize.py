@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qpcalc import QQ, double_an
 from qpcalc.field import PreconditionError
 from qpcalc.monomial import potential_from_kappa
+from qpcalc.serialize import element_to_json
 from qpcalc.realize import (
     X,
     Y,
@@ -148,6 +149,25 @@ def test_contraction_relations_match_derivatives():
     rels = dict(contraction_relations(n, kappa, D, quiver=q))
     for arrow in q.arrows:
         assert f.cyclic_derivative(arrow.name) == rels[arrow.name]
+
+    def terms(*words):
+        return [{"coeff": c, "arrows": w.split("*")} for c, w in words]
+
+    literal = [
+        # x_2^3 has weight 6 = D: its derivative, of weight D - 1, must survive
+        (2, {(2, 3): QQ(1)}, 6, [
+            ("a1", terms(("1", "a2*b2"))),
+            ("a2", terms(("1", "b2*a1"), ("1", "a3*b2"), ("3", "b2*a2*b2*a2*b2"))),
+            ("b2", terms(("1", "a1*a2"), ("1", "a2*a3"), ("3", "a2*b2*a2*b2*a2"))),
+            ("a3", terms(("1", "b2*a2"))),
+        ]),
+        # one loop, no powers: still one (zero) relation per arrow
+        (1, {}, 5, [("a1", [])]),
+    ]
+    for n, kappa, D, expected in literal:
+        rels = contraction_relations(n, kappa, D)
+        assert [(label, element_to_json(el)) for label, el in rels] == expected
+        assert all(el.truncation == D for _label, el in rels)
 
 
 def test_presentation_flags_missing_square():
