@@ -139,11 +139,39 @@ def irreducible_words_oracle(q: AppendixQuiver, head: int, weight: int) -> List[
     return out
 
 
+def is_basis_word(q: AppendixQuiver, word: Word) -> bool:
+    """True when a path is an arrow run of one kind (possibly empty) followed
+    by loops of weakly increasing index, the shape of every word the oracle
+    lists."""
+    first_arrow = q.a(0)  # loops take the ids below; a_t and b_t alternate from here
+    ids = word[1]
+    k = 0
+    while k < len(ids) and ids[k] >= first_arrow:
+        k += 1
+    run, loops = ids[:k], ids[k:]
+    if len({i % 2 for i in run}) > 1:
+        return False
+    # the loops of one vertex get descending ids as their index ascends
+    return all(i < first_arrow for i in loops) and \
+        all(x >= y for x, y in zip(loops, loops[1:]))
+
+
 # -- check reports ----------------------------------------------------------------------
 
 
 def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
-    """Resolvability, basis characterization, count recursion, completion fixpoint."""
+    """Resolvability, basis characterization, count recursion, completion fixpoint.
+
+    The basis check streams: each irreducible word of weight <= D is
+    tallied by (head, weight) as matched or extra by ``is_basis_word``, and
+    ``missing`` is ``expected_count`` minus matched. This is the set
+    comparison with ``irreducible_words_oracle`` without holding either
+    set: ``iter_irreducible`` yields each word once, the predicate holds
+    exactly for the oracle's words, and the oracle lists
+    ``expected_count(n, weight)`` distinct words per head, so matched is
+    |found & oracle|, extra is |found - oracle| and missing is
+    |oracle - found|. ``counts`` is matched plus extra at head 0.
+    """
     D = max_degree
     system = appendix_system(n, D + 3)
     q = system.quiver
@@ -166,24 +194,25 @@ def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
     )
     report["completion_fixpoint"] = {"pass": fixed}
 
-    basis_bad = []
-    found: Dict[Tuple[int, int], set] = {}
+    # per (head, weight): irreducible words of the basis shape, and the others
+    matched: Dict[Tuple[int, int], int] = {}
+    extra: Dict[Tuple[int, int], int] = {}
     for word, weight in system.iter_irreducible(D + 1):
-        if weight <= D:
-            found.setdefault((q.head_of(word), weight), set()).add(word)
+        tally = matched if is_basis_word(q, word) else extra
+        key = (q.head_of(word), weight)
+        tally[key] = tally.get(key, 0) + 1
+    basis_bad = []
     for head in range(n + 1):
         for weight in range(D + 1):
-            oracle = set(irreducible_words_oracle(q, head, weight))
-            got = found.get((head, weight), set())
-            if oracle != got:
+            got = matched.get((head, weight), 0)
+            missing = expected_count(n, weight) - got
+            surplus = extra.get((head, weight), 0)
+            if missing or surplus:
                 basis_bad.append({"head": head, "degree": weight,
-                                  "missing": len(oracle - got), "extra": len(got - oracle)})
+                                  "missing": missing, "extra": surplus})
     report["basis"] = {"pass": not basis_bad, "witnesses": basis_bad}
 
-    counts = [0] * (D + 1)
-    for (head, weight), words in found.items():
-        if head == 0:
-            counts[weight] += len(words)
+    counts = [matched.get((0, d), 0) + extra.get((0, d), 0) for d in range(D + 1)]
     recursion_bad = []
     for d in range(D - 3):
         lhs = counts[d] - 2 * counts[d + 1] + 2 * counts[d + 3] - counts[d + 4] \

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from qpcalc.appendix import (
     appendix_checks,
     appendix_quiver,
@@ -10,7 +12,9 @@ from qpcalc.appendix import (
     exactness_check,
     expected_count,
     irreducible_words_oracle,
+    is_basis_word,
 )
+from qpcalc.jacobi import all_paths
 from qpcalc.series import NCElement
 
 
@@ -78,6 +82,72 @@ def test_checks_report_small():
     assert rep["counts"] == [1, 2, 5, 8, 14, 20, 30, 40, 55]
     assert rep["overlaps"]["count"] == 45 and not rep["overlaps"]["witnesses"]
     assert rep["completion_fixpoint"]["pass"]
+
+
+def test_basis_predicate_is_oracle_membership(monkeypatch):
+    # every path below the bound, reducible words and mixed arrow runs included
+    monkeypatch.setenv("QP_MAX_PATHS", "100000")
+    for n, bound in [(1, 11), (2, 9), (3, 8), (4, 7)]:
+        q = appendix_quiver(n)
+        oracle = set()
+        for head in range(n + 1):
+            for weight in range(bound):
+                oracle.update(irreducible_words_oracle(q, head, weight))
+        for w in all_paths(q, bound):
+            assert is_basis_word(q, w) == (w in oracle), q.format_word(w)
+
+
+def test_expected_count_is_oracle_size():
+    for n in range(1, 5):
+        q = appendix_quiver(n)
+        for weight in range(15):
+            for head in range(n + 1):
+                words = irreducible_words_oracle(q, head, weight)
+                assert expected_count(n, weight) == len(words) == len(set(words))
+
+
+def _without_a0_b0(relations):
+    # a0 b0 = l(0,0) goes, so a0 b0 and its extensions stay irreducible: extra words
+    def broken(q, truncation):
+        a0_b0 = (0, (q.a(0), q.b(0)))
+        return [r for r in relations(q, truncation) if a0_b0 not in r.terms]
+    return broken
+
+
+def _killing_a_loop(relations):
+    # l(0,2) = 0 makes every basis word through it reducible: missing words
+    def broken(q, truncation):
+        return relations(q, truncation) + [NCElement.from_word(q, truncation, (0, (q.loop(0, 2),)))]
+    return broken
+
+
+@pytest.mark.parametrize("breaking", [_without_a0_b0, _killing_a_loop])
+def test_streamed_basis_witnesses_match_set_comparison(monkeypatch, breaking):
+    import qpcalc.appendix as appendix
+
+    monkeypatch.setattr(appendix, "appendix_relations", breaking(appendix.appendix_relations))
+    n, D = 2, 8
+    report = appendix_checks(n, D)
+    assert not report["basis"]["pass"]
+
+    # the set comparison the streamed tallies replace
+    system = appendix_system(n, D + 3)
+    system.complete()
+    q = system.quiver
+    found = {}
+    for word, weight in system.iter_irreducible(D + 1):
+        found.setdefault((q.head_of(word), weight), set()).add(word)
+    witnesses = []
+    for head in range(n + 1):
+        for weight in range(D + 1):
+            oracle = set(irreducible_words_oracle(q, head, weight))
+            got = found.get((head, weight), set())
+            if oracle != got:
+                witnesses.append({"head": head, "degree": weight,
+                                  "missing": len(oracle - got), "extra": len(got - oracle)})
+    assert witnesses
+    assert report["basis"]["witnesses"] == witnesses
+    assert report["counts"] == [len(found.get((0, d), ())) for d in range(D + 1)]
 
 
 def test_euler_counts():

@@ -285,6 +285,21 @@ def test_non_composable_term_survives_optimize(tmp_path):
     assert proc.stdout == ""
 
 
+def test_one_arrow_cycle_survives_optimize(tmp_path):
+    """Under python -O a relation with a lazy lead still exits 1, as without -O."""
+    path = write(tmp_path, "one.json", {
+        "quiver": {"n": 2, "loopless": []},
+        "truncation": 6,
+        "terms": [{"coeff": "1", "arrows": ["a1"]}, {"coeff": "1", "arrows": ["a2", "b2"]}],
+    })
+    plain, optimized = _qp("jdim", "--input", path), _qp("jdim", "--input", path, optimize=True)
+    for proc in (plain, optimized):
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        assert proc.stdout == ""
+    expected = "qp: precondition failed: a relation with a lazy lead collapses a vertex\n"
+    assert plain.stderr == optimized.stderr == expected
+
+
 def test_parser_state_does_not_leak_between_calls(tmp_path, capsys):
     # one parser serves every call; appended options must not pile up
     path = two_cycle_file(tmp_path, truncation=6)

@@ -119,20 +119,40 @@ def test_interreduction_keeps_leads_irreducible():
 
 
 def test_each_word_is_rewritten_once(monkeypatch):
-    # a descending loop run before two arrow pairs: many rewrite paths
-    # meet in shared words
+    # a descending loop run before two arrow pairs: its leftmost-redex
+    # rewriting is one long chain of coefficient-1 steps
     system = appendix_system(2, 16)
     q = system.quiver
     word = (0, (q.loop(0, 2), q.loop(0, 1), q.loop(0, 0), q.a(0), q.b(0), q.a(0), q.b(0)))
-    calls = []
+    steps = []  # (rewritten word, its one-step expansion)
     rewrite_once = ReductionSystem._rewrite_once
-    monkeypatch.setattr(ReductionSystem, "_rewrite_once",
-                        lambda self, *args: calls.append(args) or rewrite_once(self, *args))
+
+    def recording(self, w, pos, rid):
+        out = rewrite_once(self, w, pos, rid)
+        steps.append((w, out))
+        return out
+
+    monkeypatch.setattr(ReductionSystem, "_rewrite_once", recording)
     system._nf_cache.clear()
-    system.normal_form_word(word)
-    reducible = [w for w, nf in system._nf_cache.items() if list(nf) != [w]]
-    assert len(reducible) > 10
-    assert len(calls) == len(reducible)
+    nf = system.normal_form_word(word)
+    rewritten = [w for w, _out in steps]
+    assert len(rewritten) > 10
+    assert len(set(rewritten)) == len(rewritten)
+
+    def lone_one(out):
+        return len(out) == 1 and list(out.values()) == [1]
+
+    # a chain link is reached by a lone coefficient-1 step and left by one;
+    # it is interior unless it was asked for or starts a chain of its own
+    reached = {u for _w, out in steps if lone_one(out) for u in out}
+    heads = {word} | {u for _w, out in steps if not lone_one(out) for u in out}
+    interior = {w for w, out in steps if lone_one(out) and w in reached} - heads
+    assert interior
+    assert not interior & system._nf_cache.keys()
+
+    steps.clear()
+    assert system.normal_form_word(word) is nf
+    assert not steps
 
 
 def test_reduce_leaves_no_zero_and_nothing_heavy():
