@@ -546,7 +546,12 @@ def b_level(p: int, q: int, mu: QQ) -> Optional[QQ]:
 
 
 def apq_orbit(p: int, q: int, mu: QQ) -> Dict[str, object]:
-    """Derived-equivalence orbit data for the two-parameter family."""
+    """Derived-equivalence orbit data for the two-parameter family.
+
+    Every power in the family is at least 2, so p or q below 2 is rejected.
+    """
+    if p < 2 or q < 2:
+        raise PreconditionError("parameters outside the finite-dimensional range")
     if (p, q) == (2, 2):
         values = sorted(mu_orbit(mu))
         out: Dict[str, object] = {

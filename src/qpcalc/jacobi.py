@@ -111,7 +111,7 @@ def jdim(f: Potential, truncation: Optional[int] = None, quotient_vertices: Sequ
       past it, since every prefix of an irreducible word is irreducible.
 
     So the D+2 run is closed with counts padded by two zeros whenever
-    the D run is closed, which is what the rerun used to check.
+    the D run is closed.
     """
     truncation = truncation or f.truncation
     relations = jacobi_relations(f.truncate(truncation))

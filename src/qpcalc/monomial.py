@@ -234,7 +234,7 @@ def _junk_terms(f: Potential, degree: Optional[int] = None) -> List[Tuple[Word, 
         kind, deg, lo, hi = term_shape(q, word)
         if degree is not None and deg != degree:
             continue
-        if kind == "skip" or (kind == "other" and deg >= 3) or (kind == "middle" and deg >= 3):
+        if kind == "skip" or (kind == "other" and deg >= 3):
             t = q.x_degrees(word)
             out.append((word, coeff, (hi, t[hi - 1])))
     return out

@@ -8,13 +8,15 @@ On quivers whose arrows all weigh 1 this is plain (length, lex). Each
 rule sends its lead word to a combination of strictly K-larger words, so
 any rewrite chain strictly climbs K and must stop below the truncation.
 
-The rule set is interreduced whenever no call is running: no lead occurs
-inside another, and every tail word is irreducible. ``add_relation``
-keeps this. Before it inserts a rule it retires every rule whose lead
-contains the new lead, so leads never contain one another even inside
-the call, and it re-reduces the tails before it returns. Hence there are
-no inclusion ambiguities, and at most one lead matches at any position
-of a word.
+The rule set is interreduced on leads only: no lead occurs inside
+another. Before ``add_relation`` inserts a rule it retires every rule
+whose lead contains the new lead, so this holds even inside the call.
+Hence there are no inclusion ambiguities, and at most one lead matches
+at any position of a word. Tails are not kept irreducible, and need not
+be: by Bergman's diamond lemma (Adv. Math. 29, 1978) normal forms are
+unique once the rules terminate and every overlap ambiguity resolves,
+and neither needs irreducible tails. A reducible tail word is rewritten
+when ``normal_form_word`` meets it.
 
 Completion processes every overlap ambiguity whose combined word still
 weighs less than the truncation; dropped ones only involve words at or
@@ -43,14 +45,6 @@ on to the next cached word. On ``exactness_check(4, 12)`` this trades
 6% more rewrites (29,218 against 27,574 when every word was cached) for
 a third of the cache entries (10,629 against 32,076).
 
-Each expanded word is searched for its leftmost redex from
-``max(0, pos - (L - 1))``, where ``pos`` is the leftmost redex of the
-word it came from and L is at least the longest lead. The expanded word
-keeps the prefix ``ids[:pos]`` of that word, and a lead starting further
-left would end inside that prefix, so the parent would have had a redex
-left of ``pos``. The search therefore finds the same leftmost redex as a
-search from 0.
-
 The normal-form cache holds dicts that are shared, without a copy,
 between the head of a chain and the cached word that ends it, and are
 handed to callers as they are. They are read-only.
@@ -68,7 +62,7 @@ from .series import NCElement
 
 
 class Rule:
-    """lead -> tail. A rule is never changed in place: a new tail makes a new Rule."""
+    """lead -> tail, never changed once made."""
 
     __slots__ = ("lead", "tail", "steps")
 
@@ -97,7 +91,6 @@ class ReductionSystem:
         self._next_id = 0
         self._trie: Dict[int, object] = {}
         self._rtrie: Dict[int, object] = {}
-        self._max_lead = 0  # at least the longest live lead
         self._overlap_queue: deque = deque()
         self._nf_cache: Dict[Word, Dict[Word, QQ]] = {}
 
@@ -112,7 +105,6 @@ class ReductionSystem:
         ids = self.rules[rid].lead[1]
         _trie_insert(self._trie, ids, rid)
         _trie_insert(self._rtrie, ids[::-1], rid)
-        self._max_lead = max(self._max_lead, len(ids))
 
     def _unindex_rule(self, rid: int) -> None:
         ids = self.rules[rid].lead[1]
@@ -124,13 +116,11 @@ class ReductionSystem:
 
         A worklist: each relation is reduced, and before its rule goes in,
         every rule whose lead contains the new lead is retired and its
-        relation queued. If any rule went in, each tail that holds a
-        reducible word is re-reduced once; an irreducible tail is its own
-        normal form and stays as it is. Raises PreconditionError when a
-        lead is a lazy path, which would collapse its vertex.
+        relation queued. Raises PreconditionError when a lead is a lazy
+        path, which would collapse its vertex.
         """
         assert el.quiver is self.quiver
-        inserted: List[int] = []
+        first: Optional[int] = None
         pending = [el]
         while pending:
             rel = self.reduce(pending.pop())
@@ -151,26 +141,21 @@ class ReductionSystem:
             self._index_rule(rid)
             self._nf_cache.clear()
             self._enqueue_overlaps(rid)
-            inserted.append(rid)
-        if not inserted:
-            return None
-        for rid, rule in self.rules.items():
-            if any(self._find_redex(w, 0) is not None for w in rule.tail.terms):
-                self.rules[rid] = Rule(rule.lead, self.reduce(rule.tail))
-                self._nf_cache.clear()
-        return inserted[0]
+            if first is None:
+                first = rid
+        return first
 
     # -- redex search -------------------------------------------------------------
 
-    def _find_redex(self, word: Word, start: int):
-        """Leftmost position >= start carrying a lead, with that lead's rule; None if none.
+    def _find_redex(self, word: Word):
+        """Leftmost position carrying a lead, with that lead's rule; None if none.
 
         Leads never contain one another, so at most one matches at a position.
         """
         ids = word[1]
         trie = self._trie
         n = len(ids)
-        for pos in range(start, n):
+        for pos in range(n):
             node = trie.get(ids[pos])
             j = pos + 1
             while node is not None:
@@ -223,16 +208,14 @@ class ReductionSystem:
         hit = cache.get(word)
         if hit is not None:
             return hit
-        back = self._max_lead - 1
-        # frames: (chain head, word, its one-step expansion, iterator over it, redex position)
+        # frames: (chain head, word, its one-step expansion, iterator over it)
         frames: List[tuple] = []
         head = w = word
-        start = 0
         while True:
             # walk the chain from head while each step is one word with coefficient 1
             nf = None
             while True:
-                redex = self._find_redex(w, start)
+                redex = self._find_redex(w)
                 if redex is None:
                     nf = cache[w] = {w: ONE}
                     break
@@ -240,18 +223,18 @@ class ReductionSystem:
                 if len(expansion) == 1:
                     ((u, c),) = expansion.items()
                     if c == 1:
-                        w, start = u, max(0, redex[0] - back)
+                        w = u
                         nf = cache.get(u)
                         if nf is None:
                             continue
                         break
-                frames.append((head, w, expansion, iter(expansion), redex[0]))
+                frames.append((head, w, expansion, iter(expansion)))
                 break
             # w is head itself when the chain made no step
             if nf is not None and w is not head:
                 cache[head] = nf
             while frames:
-                chain_head, top, expansion, pending, pos = frames[-1]
+                chain_head, top, expansion, pending = frames[-1]
                 for head in pending:
                     if head not in cache:
                         break
@@ -261,7 +244,7 @@ class ReductionSystem:
                     if chain_head is not top:
                         cache[chain_head] = nf
                     continue
-                w, start = head, max(0, pos - back)
+                w = head
                 break
             else:
                 return cache[word]
@@ -352,7 +335,7 @@ class ReductionSystem:
 
     # -- irreducible words ------------------------------------------------------------
 
-    def iter_irreducible(self, max_weight: int, head: Optional[int] = None, tails: Optional[Iterable[int]] = None):
+    def iter_irreducible(self, max_weight: int, tails: Optional[Iterable[int]] = None):
         """All rule-irreducible words of weight < max_weight (DFS extension).
 
         Every proper prefix of an irreducible word is irreducible, so only
@@ -364,8 +347,7 @@ class ReductionSystem:
         stack = [((v, ()), 0, v) for v in start_vertices]
         while stack:
             word, weight, at = stack.pop()
-            if head is None or at == head:
-                yield word, weight
+            yield word, weight
             for arrow in arrows_by_tail[at]:
                 w2 = weight + arrow.weight
                 if w2 >= max_weight:
@@ -375,9 +357,9 @@ class ReductionSystem:
                     continue
                 stack.append(((word[0], ids), w2, arrow.head))
 
-    def irreducible_counts(self, max_weight: int, head: Optional[int] = None) -> List[int]:
+    def irreducible_counts(self, max_weight: int) -> List[int]:
         counts = [0] * max_weight
-        for _w, weight in self.iter_irreducible(max_weight, head=head):
+        for _w, weight in self.iter_irreducible(max_weight):
             counts[weight] += 1
         return counts
 

@@ -35,6 +35,11 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is a subclass of int in Python but not one in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rational_field(entry, key: str) -> QQ:
     value = entry.get(key)
     _require(isinstance(value, str), f"'{key}' must be a 'p/q' string")
@@ -47,10 +52,10 @@ def _rational_field(entry, key: str) -> QQ:
 def quiver_from_json(data) -> DoubledPathQuiver:
     _require(isinstance(data, dict), "'quiver' must be an object")
     n = data.get("n")
-    _require(isinstance(n, int) and n >= 1, "'quiver.n' must be a positive integer")
+    _require(_is_int(n) and n >= 1, "'quiver.n' must be a positive integer")
     loopless = data.get("loopless", [])
     _require(
-        isinstance(loopless, list) and all(isinstance(v, int) for v in loopless),
+        isinstance(loopless, list) and all(_is_int(v) for v in loopless),
         "'quiver.loopless' must be a list of integers",
     )
     _require(
@@ -92,7 +97,7 @@ def potential_from_json(data, truncation: Optional[int] = None) -> Potential:
         _require(key in data, f"missing key '{key}'")
     quiver = quiver_from_json(data["quiver"])
     stored = data["truncation"]
-    _require(isinstance(stored, int) and stored >= 2, "'truncation' must be an integer >= 2")
+    _require(_is_int(stored) and stored >= 2, "'truncation' must be an integer >= 2")
     effective = truncation if truncation is not None else stored
     terms = data["terms"]
     _require(isinstance(terms, list), "'terms' must be a list")
@@ -137,15 +142,15 @@ def kappa_from_json(data) -> Tuple[int, Dict[Tuple[int, int], QQ]]:
     for key in ("n", "kappa"):
         _require(key in data, f"missing key '{key}'")
     n = data["n"]
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _require(_is_int(n) and n >= 1, "'n' must be a positive integer")
     entries = data["kappa"]
     _require(isinstance(entries, list), "'kappa' must be a list")
     table: Dict[Tuple[int, int], QQ] = {}
     for entry in entries:
         _require(isinstance(entry, dict), "each kappa entry must be an object")
         i, j = entry.get("i"), entry.get("j")
-        _require(isinstance(i, int) and 1 <= i <= 2 * n - 1, f"slot index {i} outside 1..{2 * n - 1}")
-        _require(isinstance(j, int) and j >= 2, f"power {j} below 2")
+        _require(_is_int(i) and 1 <= i <= 2 * n - 1, f"slot index {i} outside 1..{2 * n - 1}")
+        _require(_is_int(j) and j >= 2, f"power {j} below 2")
         _require((i, j) not in table, f"duplicate kappa entry ({i},{j})")
         coeff = _rational_field(entry, "coeff")
         if coeff != 0:

@@ -9,7 +9,7 @@ arithmetic silently drops terms at or above the truncation: computing
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional
 
 from .field import QQ, ZERO, rational
 from .quiver import Quiver, Word
@@ -49,11 +49,6 @@ class NCElement:
     def arrow(cls, quiver: Quiver, truncation: int, name: str, coeff=1) -> "NCElement":
         a = quiver.by_name[name]
         return cls.from_word(quiver, truncation, (a.tail, (a.index,)), coeff)
-
-    def copy(self) -> "NCElement":
-        out = NCElement(self.quiver, self.truncation)
-        out.terms = dict(self.terms)
-        return out
 
     # -- ring operations ----------------------------------------------------
 
@@ -148,9 +143,6 @@ class NCElement:
             weight = self.quiver.weight_of
             res.terms = {w: c for w, c in self.terms.items() if weight(w) < truncation}
         return res
-
-    def items(self) -> Iterable[Tuple[Word, QQ]]:
-        return self.terms.items()
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (self.quiver.weight_of(kv[0]), kv[0][1], kv[0][0]))

@@ -250,7 +250,8 @@ def test_monomialize_precondition_survives_optimize(tmp_path):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("p, q, mu", [("2", "2", "1"), ("3", "2", "5")])
+@pytest.mark.parametrize("p, q, mu", [("2", "2", "1"), ("3", "2", "5"), ("3", "0", "1"),
+                                      ("0", "3", "1"), ("-2", "3", "1"), ("1", "1", "1")])
 def test_apq_out_of_range_survives_optimize(p, q, mu):
     """Under python -O an apq parameter outside the range still exits 1, as without -O."""
     argv = ("a3", "apq", "--p", p, "--q", q, "--mu", mu)

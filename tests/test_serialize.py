@@ -59,6 +59,30 @@ def test_schema_violations_are_reported():
         potential_from_json({**base, "terms": [{"coeff": 1.5, "arrows": ["a1"]}]})
 
 
+POTENTIAL_DOC = {"quiver": {"n": 2, "loopless": [1]}, "truncation": 8,
+                 "terms": [{"coeff": "1", "arrows": ["a2", "a2"]}]}
+KAPPA_DOC = {"n": 2, "kappa": [{"i": 1, "j": 3, "coeff": "2/3"}]}
+
+
+@pytest.mark.parametrize("load, doc, path", [
+    (potential_from_json, POTENTIAL_DOC, ("quiver", "n")),
+    (potential_from_json, POTENTIAL_DOC, ("quiver", "loopless", 0)),
+    (potential_from_json, POTENTIAL_DOC, ("truncation",)),
+    (kappa_from_json, KAPPA_DOC, ("n",)),
+    (kappa_from_json, KAPPA_DOC, ("kappa", 0, "i")),
+    (kappa_from_json, KAPPA_DOC, ("kappa", 0, "j")),
+], ids=["quiver.n", "loopless", "truncation", "kappa.n", "kappa.i", "kappa.j"])
+def test_booleans_are_not_integers(load, doc, path):
+    load(doc)
+    bad = json.loads(json.dumps(doc))
+    node = bad
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = True
+    with pytest.raises(SchemaError):
+        load(bad)
+
+
 def test_kappa_round_trip():
     n, table = kappa_from_json({"n": 2, "kappa": [
         {"i": 1, "j": 3, "coeff": "2/3"},
