@@ -1,9 +1,14 @@
 """Cycles up to rotation, and potentials built from them.
 
-A potential is a rational combination of cyclic paths where two words
-that differ by rotation are the same term. Each class is stored by its
-canonical representative: the rotation whose arrow index sequence is
-lexicographically smallest.
+A potential is a truncated path series whose terms are cyclic paths taken
+up to rotation. Each rotation class is stored by its canonical
+representative: the rotation whose arrow index sequence is
+lexicographically smallest. :class:`Potential` is an
+:class:`~qpcalc.series.NCElement` keyed by those representatives: it adds,
+subtracts, scales, compares and truncates like any series, and its
+``sorted_items`` orders terms by (length, arrow ids), since arrows of a
+doubled quiver weigh 1 and a canonical cycle's first arrow fixes its
+tail. It does not multiply.
 """
 
 from __future__ import annotations
@@ -43,21 +48,18 @@ def cycle_from_slots(quiver: DoubledPathQuiver, spec: Sequence[Tuple[int, bool]]
     return canonical_cycle(quiver, word)
 
 
-class Potential:
-    __slots__ = ("quiver", "truncation", "terms")
+class Potential(NCElement):
+    """A path series keyed by canonical cycles; it does not multiply."""
+
+    __slots__ = ()
 
     def __init__(self, quiver: Quiver, truncation: int, terms: Optional[Dict[Word, QQ]] = None):
         self.quiver = quiver
         self.truncation = truncation
-        self.terms: Dict[Word, QQ] = {}
+        self.terms = {}
         if terms:
             for word, coeff in terms.items():
                 self.add_cycle(word, coeff)
-
-    def copy(self) -> "Potential":
-        out = Potential(self.quiver, self.truncation)
-        out.terms = dict(self.terms)
-        return out
 
     def add_cycle(self, word: Word, coeff) -> None:
         coeff = QQ(coeff)
@@ -70,50 +72,8 @@ class Potential:
         else:
             self.terms[key] = acc
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _compatible(self, other: "Potential") -> None:
-        assert self.quiver is other.quiver and self.truncation == other.truncation
-
-    def __add__(self, other: "Potential") -> "Potential":
-        self._compatible(other)
-        out = self.copy()
-        for word, coeff in other.terms.items():
-            out.add_cycle(word, coeff)
-        return out
-
-    def __sub__(self, other: "Potential") -> "Potential":
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "Potential":
-        coeff = QQ(coeff)
-        out = Potential(self.quiver, self.truncation)
-        if coeff != 0:
-            out.terms = {w: coeff * c for w, c in self.terms.items()}
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Potential):
-            return NotImplemented
-        self._compatible(other)
-        return self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("Potential is not hashable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, word: Word) -> QQ:
         return self.terms.get(canonical_cycle(self.quiver, word), ZERO)
-
-    def truncate(self, truncation: int) -> "Potential":
-        out = Potential(self.quiver, truncation)
-        for word, coeff in self.terms.items():
-            out.add_cycle(word, coeff)
-        return out
-
-    # -- cyclic derivative -----------------------------------------------------
 
     def cyclic_derivative(self, arrow_name: str) -> NCElement:
         """Sum over occurrences: rotate the occurrence to the front, delete it.
@@ -135,18 +95,8 @@ class Potential:
                     out[word] = acc
         return NCElement(self.quiver, self.truncation, out)
 
-    # -- i/o --------------------------------------------------------------------
-
-    def sorted_items(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (len(kv[0][1]), kv[0][1]),
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*{self.quiver.format_word(w)}" for w, c in self.sorted_items())
+    def __mul__(self, other):
+        raise TypeError("potentials do not multiply: a product of rotation classes is not defined")
 
 
 def x_monomial(quiver: DoubledPathQuiver, truncation: int, spec: Sequence[Tuple[int, bool]], coeff=1) -> Potential:

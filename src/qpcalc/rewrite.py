@@ -22,11 +22,15 @@ Completion processes every overlap ambiguity whose combined word still
 weighs less than the truncation; dropped ones only involve words at or
 above it, so on exit normal forms below the truncation are unique.
 
-Leads are kept in a trie over their arrow ids, and reversed leads in a
-second trie. A node is a dict from arrow id to child; a lead ends at an
-int, its rule id. Since no lead is a prefix of another, a node is either
-a leaf or a dict, and a walk from one position stops at the only lead
-that can match there.
+Leads are kept in one trie over their arrow ids. A node is a dict from
+arrow id to child; a lead ends at an int, its rule id. Since no lead is
+a prefix of another, a node is either a leaf or a dict, and a walk from
+one position stops at the only lead that can match there.
+``_find_redex`` walks it afresh from each position of a word.
+``iter_irreducible`` grows words one arrow at a time and carries, with
+each word, the trie nodes its suffixes have reached (the root among
+them), so the one new check per extension, whether a lead ends at the
+new arrow, is one step from each carried node.
 
 ``normal_form_word`` caches the heads of rewrite chains, not their links.
 A chain is a run of words each rewriting to the next as one word with
@@ -90,7 +94,6 @@ class ReductionSystem:
         self.rules: Dict[int, Rule] = {}
         self._next_id = 0
         self._trie: Dict[int, object] = {}
-        self._rtrie: Dict[int, object] = {}
         self._overlap_queue: deque = deque()
         self._nf_cache: Dict[Word, Dict[Word, QQ]] = {}
 
@@ -102,14 +105,10 @@ class ReductionSystem:
     # -- rule management --------------------------------------------------------
 
     def _index_rule(self, rid: int) -> None:
-        ids = self.rules[rid].lead[1]
-        _trie_insert(self._trie, ids, rid)
-        _trie_insert(self._rtrie, ids[::-1], rid)
+        _trie_insert(self._trie, self.rules[rid].lead[1], rid)
 
     def _unindex_rule(self, rid: int) -> None:
-        ids = self.rules[rid].lead[1]
-        _trie_remove(self._trie, ids)
-        _trie_remove(self._rtrie, ids[::-1])
+        _trie_remove(self._trie, self.rules[rid].lead[1])
 
     def add_relation(self, el: NCElement) -> Optional[int]:
         """Absorb one relation; returns its rule id (None if it reduced away).
@@ -166,17 +165,6 @@ class ReductionSystem:
                 node = node.get(ids[j])
                 j += 1
         return None
-
-    def _suffix_redex(self, ids: Tuple[int, ...]) -> bool:
-        """True when some lead is a suffix of ids (only check needed while extending)."""
-        node = self._rtrie
-        for a in reversed(ids):
-            node = node.get(a)
-            if node is None:
-                return False
-            if node.__class__ is int:
-                return True
-        return False
 
     def _rewrite_once(self, word: Word, pos: int, rid: int) -> Dict[Word, QQ]:
         tail_vertex, ids = word
@@ -275,12 +263,7 @@ class ReductionSystem:
                 break
             word, pos, rid = redexes[rng.randrange(len(redexes))]
             coeff = terms.pop(word)
-            for new, c in self._rewrite_once(word, pos, rid).items():
-                acc = terms.get(new, ZERO) + coeff * c
-                if acc == 0:
-                    terms.pop(new, None)
-                else:
-                    terms[new] = acc
+            accumulate(terms, coeff, self._rewrite_once(word, pos, rid))
         return NCElement(self.quiver, self.truncation, terms)
 
     # -- completion -------------------------------------------------------------------
@@ -339,23 +322,34 @@ class ReductionSystem:
         """All rule-irreducible words of weight < max_weight (DFS extension).
 
         Every proper prefix of an irreducible word is irreducible, so only
-        suffix redexes need checking as words grow.
+        leads ending at the new arrow need checking as words grow. Each
+        stack entry carries the trie nodes reached by its word's suffixes
+        (the empty one reaches the root); a lead ends at the new arrow
+        exactly when the arrow leads from one of them to a leaf.
         """
         quiver = self.quiver
         start_vertices = tuple(tails) if tails is not None else quiver.vertices
         arrows_by_tail = quiver.arrows_by_tail
-        stack = [((v, ()), 0, v) for v in start_vertices]
+        trie = self._trie
+        stack = [((v, ()), 0, v, (trie,)) for v in start_vertices]
         while stack:
-            word, weight, at = stack.pop()
+            word, weight, at, nodes = stack.pop()
             yield word, weight
             for arrow in arrows_by_tail[at]:
                 w2 = weight + arrow.weight
                 if w2 >= max_weight:
                     continue
-                ids = word[1] + (arrow.index,)
-                if self._suffix_redex(ids):
-                    continue
-                stack.append(((word[0], ids), w2, arrow.head))
+                a = arrow.index
+                reached = [trie]
+                for node in nodes:
+                    child = node.get(a)
+                    if child is None:
+                        continue
+                    if child.__class__ is int:
+                        break
+                    reached.append(child)
+                else:
+                    stack.append(((word[0], word[1] + (a,)), w2, arrow.head, tuple(reached)))
 
     def irreducible_counts(self, max_weight: int) -> List[int]:
         counts = [0] * max_weight

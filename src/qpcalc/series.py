@@ -5,6 +5,11 @@ words of one quiver, kept modulo paths of weight >= ``truncation``
 (weight is path length on quivers whose arrows all weigh 1). All
 arithmetic silently drops terms at or above the truncation: computing
 "mod m^D" is the data structure's contract, not a caller convention.
+
+Sums, negation, scaling and truncation build an element of the left
+operand's class, so a subclass whose keys obey an invariant the plain
+arithmetic keeps (a :class:`~qpcalc.cycles.Potential`, keyed by canonical
+cycles) stays that subclass. Products are always plain elements.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ class NCElement:
                 out.pop(word, None)
             else:
                 out[word] = acc
-        res = NCElement(self.quiver, self.truncation)
+        res = self.__class__(self.quiver, self.truncation)
         res.terms = out
         return res
 
@@ -73,13 +78,13 @@ class NCElement:
         return self + (-other)
 
     def __neg__(self) -> "NCElement":
-        res = NCElement(self.quiver, self.truncation)
+        res = self.__class__(self.quiver, self.truncation)
         res.terms = {w: -c for w, c in self.terms.items()}
         return res
 
     def scale(self, coeff) -> "NCElement":
         coeff = QQ(coeff)
-        res = NCElement(self.quiver, self.truncation)
+        res = self.__class__(self.quiver, self.truncation)
         if coeff != 0:
             res.terms = {w: coeff * c for w, c in self.terms.items()}
         return res
@@ -136,7 +141,7 @@ class NCElement:
         Terms are already nonzero rationals below ``self.truncation``, so
         going up copies them and going down only filters by weight.
         """
-        res = NCElement(self.quiver, truncation)
+        res = self.__class__(self.quiver, truncation)
         if truncation >= self.truncation:
             res.terms = dict(self.terms)
         else:

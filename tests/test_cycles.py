@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpcalc.field import QQ
 from qpcalc.cycles import Potential, canonical_cycle, cycle_from_slots, x_monomial
+from qpcalc.jacobi import all_paths
 from qpcalc.quiver import double_an
 from qpcalc.serialize import potential_from_json, potential_to_json
 
@@ -58,3 +60,55 @@ def test_truncation_drops_long_cycles_on_entry():
     f = Potential(q, 3)
     f.add_cycle(q.word_from_names(["a1", "a1", "a1"]), 5)
     assert f.is_zero()
+
+
+COEFFS = st.builds(QQ, st.sampled_from([-2, -1, 0, 1, 2]), st.integers(1, 3))
+
+
+@st.composite
+def potential_pairs(draw):
+    """Two potentials on double_an(2..3) at D = 4..8, each built by add_cycle
+    from 0-6 cycles of weight 1-6 in arbitrary rotations; a scale and a new
+    truncation."""
+    n = draw(st.integers(2, 3))
+    q = double_an(n, draw(st.sets(st.integers(1, n))))
+    D = draw(st.integers(4, 8))
+    cycles = [w for w in all_paths(q, 7) if w[1] and q.head_of(w) == w[0]]
+
+    def potential():
+        f = Potential(q, D)
+        for (_tail, ids), coeff, k in draw(st.lists(st.tuples(st.sampled_from(cycles), COEFFS,
+                                                             st.integers(0, 5)), max_size=6)):
+            k %= len(ids)
+            f.add_cycle((q.arrows[ids[k]].tail, ids[k:] + ids[:k]), coeff)
+        return f
+
+    return potential(), potential(), draw(COEFFS), draw(st.integers(1, 9))
+
+
+def _by_add_cycle(truncation, *parts):
+    # the reference: one add_cycle per (potential, factor) term, in dict order
+    out = Potential(parts[0][0].quiver, truncation)
+    for f, factor in parts:
+        for word, coeff in f.terms.items():
+            out.add_cycle(word, factor * coeff)
+    return out
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(potential_pairs())
+def test_potential_arithmetic_is_add_cycle_arithmetic(case):
+    f, g, c, d = case
+    D = f.truncation
+    for got, want in [(f + g, _by_add_cycle(D, (f, 1), (g, 1))),
+                      (f - g, _by_add_cycle(D, (f, 1), (g, -1))),
+                      (-f, _by_add_cycle(D, (f, -1))),
+                      (f.scale(c), _by_add_cycle(D, (f, c))),
+                      (f.truncate(d), _by_add_cycle(d, (f, 1)))]:
+        assert type(got) is Potential
+        assert got.truncation == want.truncation
+        assert list(got.terms.items()) == list(want.terms.items())
+        words = [w for w, _c in got.sorted_items()]
+        assert words == sorted(got.terms, key=lambda w: (len(w[1]), w[1]))
+    with pytest.raises(TypeError):
+        f * g

@@ -248,7 +248,6 @@ def test_rules_stay_interreduced_and_complete_to_confluence(case, rng):
         sys.add_relation(rel)
         live = {rid: r.lead[1] for rid, r in sys.rules.items()}
         assert {rid: lead for lead, rid in _trie_leads(sys._trie)} == live
-        assert {rid: lead[::-1] for lead, rid in _trie_leads(sys._rtrie)} == live
         leads = list(live.values())
         for i, a in enumerate(leads):
             assert not any(_occurs(b, a) for j, b in enumerate(leads) if j != i)
@@ -258,3 +257,19 @@ def test_rules_stay_interreduced_and_complete_to_confluence(case, rng):
     for w in probes + overlaps + [r.lead for r in sys.rules.values()]:
         el = NCElement.from_word(q, D, w)
         assert sys.reduce(el) == sys.reduce_random(el, rng)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(random_relations())
+def test_iter_irreducible_matches_the_redex_search(case):
+    # the trie-state enumeration against the leftmost-redex search, word by word
+    q, D, rels, _probes = case
+    sys = ReductionSystem(q, D)
+    for rel in rels:
+        sys.add_relation(rel)
+    sys.complete()
+    pairs = list(sys.iter_irreducible(D))
+    assert all(weight == q.weight_of(w) for w, weight in pairs)
+    words = [w for w, _weight in pairs]
+    assert len(words) == len(set(words))
+    assert set(words) == {w for w in all_paths(q, D) if sys._find_redex(w) is None}
