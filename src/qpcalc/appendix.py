@@ -19,9 +19,9 @@ complex of right-multiplication maps.
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from .field import QQ, ZERO
+from .field import ONE, QQ, ZERO
 from .linalg import accumulate, rank_of
 from .quiver import Quiver, Word
 from .rewrite import ReductionSystem
@@ -156,18 +156,42 @@ def is_basis_word(q: AppendixQuiver, word: Word) -> bool:
         all(x >= y for x, y in zip(loops, loops[1:]))
 
 
+# states of the basis-shape automaton other than a loop state, which is the last loop id read
+EMPTY, A_RUN, B_RUN, BAD = -1, -2, -3, -4
+
+
+def basis_shape_step(q: AppendixQuiver) -> Callable[[int, int], int]:
+    """Transition function of the basis-shape automaton on arrow ids.
+
+    Read from ``EMPTY``, a path ends outside ``BAD`` exactly when
+    ``is_basis_word`` holds: an a-run or a b-run, then loops whose ids
+    never rise (their indices never fall), and nothing after a loop.
+    """
+    first_arrow = q.a(0)
+
+    def step(state: int, a: int) -> int:
+        if a >= first_arrow:
+            kind = A_RUN if (a - first_arrow) % 2 == 0 else B_RUN
+            return kind if state == EMPTY or state == kind else BAD
+        return BAD if state == BAD or 0 <= state < a else a
+
+    return step
+
+
 # -- check reports ----------------------------------------------------------------------
 
 
 def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
     """Resolvability, basis characterization, count recursion, completion fixpoint.
 
-    The basis check streams: each irreducible word of weight <= D is
-    tallied by (head, weight) as matched or extra by ``is_basis_word``, and
-    ``missing`` is ``expected_count`` minus matched. This is the set
-    comparison with ``irreducible_words_oracle`` without holding either
-    set: ``iter_irreducible`` yields each word once, the predicate holds
-    exactly for the oracle's words, and the oracle lists
+    The basis check counts without listing a word:
+    ``irreducible_table`` runs the basis-shape automaton
+    (``basis_shape_step``) alongside its count, so the irreducible words
+    of weight <= D outside ``BAD`` are matched and those in it extra, per
+    (head, weight). ``missing`` is ``expected_count`` minus matched. This
+    is the set comparison with ``irreducible_words_oracle`` without
+    holding either set: the table counts each irreducible word once, the
+    automaton accepts exactly the oracle's words, and the oracle lists
     ``expected_count(n, weight)`` distinct words per head, so matched is
     |found & oracle|, extra is |found - oracle| and missing is
     |oracle - found|. ``counts`` is matched plus extra at head 0.
@@ -197,10 +221,10 @@ def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
     # per (head, weight): irreducible words of the basis shape, and the others
     matched: Dict[Tuple[int, int], int] = {}
     extra: Dict[Tuple[int, int], int] = {}
-    for word, weight in system.iter_irreducible(D + 1):
-        tally = matched if is_basis_word(q, word) else extra
-        key = (q.head_of(word), weight)
-        tally[key] = tally.get(key, 0) + 1
+    table = system.irreducible_table(D + 1, EMPTY, basis_shape_step(q))
+    for (head, weight, state), count in table.items():
+        tally = extra if state == BAD else matched
+        tally[head, weight] = tally.get((head, weight), 0) + count
     basis_bad = []
     for head in range(n + 1):
         for weight in range(D + 1):
@@ -234,14 +258,27 @@ def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
 def _image_vec(system: ReductionSystem, source: Word, factors: List[Tuple[Word, QQ, int]]
                ) -> Vec:
     """Right-multiply a basis word by tagged factors and express in coordinates
-    keyed by (component tag, word)."""
+    keyed by (component tag, word).
+
+    A factor is applied one arrow at a time, NF(f·b0·bn) = NF(NF(f·b0)·bn),
+    so a two-arrow factor reuses the cached normal form of its first step.
+    """
     q = system.quiver
+    truncation = system.truncation
     out: Vec = {}
     for factor, coeff, tag in factors:
         prod = q.concat(source, factor)
-        if prod is None or q.weight_of(prod) >= system.truncation:
+        if prod is None or q.weight_of(prod) >= truncation:
             continue
-        for w, c in system.normal_form_word(prod).items():
+        vec: Vec = {source: ONE}
+        for a in factor[1]:
+            step: Vec = {}
+            for (tail, ids), c in vec.items():
+                word = (tail, ids + (a,))
+                if q.weight_of(word) < truncation:
+                    accumulate(step, c, system.normal_form_word(word))
+            vec = step
+        for w, c in vec.items():
             key = (tag, w)
             s = out.get(key, ZERO) + coeff * c
             if s == 0:

@@ -30,7 +30,22 @@ one position stops at the only lead that can match there.
 ``iter_irreducible`` grows words one arrow at a time and carries, with
 each word, the trie nodes its suffixes have reached (the root among
 them), so the one new check per extension, whether a lead ends at the
-new arrow, is one step from each carried node.
+new arrow, is one step from each carried node (``_advance``).
+
+``irreducible_table`` counts the same words without building one. Words
+that end at the same vertex with the same carried nodes extend alike, so
+it runs weight by weight over those states, interned, with their word
+counts: the Ufnarovski graph of the lead set (V. A. Ufnarovskii, Math.
+Notes 31, 1982). A caller may run its own automaton alongside and read
+the counts by (head, weight, caller state); ``irreducible_counts`` uses
+none, and the cyclic-quiver basis check runs one for the basis shape.
+Its cost follows the number of states, not the number of words.
+
+Rewriting assumes every word it is given weighs less than the
+truncation, as ``reduce`` guarantees by truncating first. A rule
+records whether any of its tail words is heavier than its lead
+(``Rule.raises``); only such a rule can push a word past the truncation,
+so ``_rewrite_once`` sums a word's weight only for it.
 
 ``normal_form_word`` caches the heads of rewrite chains, not their links.
 A chain is a run of words each rewriting to the next as one word with
@@ -57,7 +72,7 @@ handed to callers as they are. They are read-only.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from .field import ONE, QQ, ZERO, PreconditionError
 from .linalg import accumulate
@@ -68,7 +83,7 @@ from .series import NCElement
 class Rule:
     """lead -> tail, never changed once made."""
 
-    __slots__ = ("lead", "tail", "steps")
+    __slots__ = ("lead", "tail", "steps", "raises")
 
     def __init__(self, lead: Word, tail: NCElement):
         self.lead = lead
@@ -77,6 +92,8 @@ class Rule:
         weight_of = tail.quiver.weight_of
         lead_weight = weight_of(lead)
         self.steps = [(w[1], c, weight_of(w) - lead_weight) for w, c in tail.terms.items()]
+        # only a rule with a heavier tail word can push a rewrite past the truncation
+        self.raises = any(gain > 0 for _ids, _c, gain in self.steps)
 
     def as_element(self) -> NCElement:
         lead_el = NCElement.from_word(self.tail.quiver, self.tail.truncation, self.lead)
@@ -171,8 +188,9 @@ class ReductionSystem:
         rule = self.rules[rid]
         lead_len = len(rule.lead[1])
         out: Dict[Word, QQ] = {}
-        # a new word weighs weight(word) + gain, and is kept below the truncation
-        room = self.truncation - self.quiver.weight_of(word)
+        # a new word weighs weight(word) + gain, and is kept below the truncation;
+        # word weighs less than it, so the room is at least 1 and no gain <= 0 is dropped
+        room = self.truncation - self.quiver.weight_of(word) if rule.raises else 1
         for mids, coeff, gain in rule.steps:
             if gain >= room:
                 continue
@@ -191,7 +209,12 @@ class ReductionSystem:
     # -- normal forms ---------------------------------------------------------------
 
     def normal_form_word(self, word: Word) -> Dict[Word, QQ]:
-        """Normal form of one word as a read-only dict (see the module docstring)."""
+        """Normal form of one word as a read-only dict (see the module docstring).
+
+        The word must weigh less than the truncation, as every word that
+        ``reduce`` passes does: rewrites by rules that never raise the
+        weight skip the truncation test on that promise.
+        """
         cache = self._nf_cache
         hit = cache.get(word)
         if hit is not None:
@@ -324,8 +347,7 @@ class ReductionSystem:
         Every proper prefix of an irreducible word is irreducible, so only
         leads ending at the new arrow need checking as words grow. Each
         stack entry carries the trie nodes reached by its word's suffixes
-        (the empty one reaches the root); a lead ends at the new arrow
-        exactly when the arrow leads from one of them to a leaf.
+        (the empty one reaches the root); ``_advance`` steps them.
         """
         quiver = self.quiver
         start_vertices = tuple(tails) if tails is not None else quiver.vertices
@@ -340,22 +362,90 @@ class ReductionSystem:
                 if w2 >= max_weight:
                     continue
                 a = arrow.index
-                reached = [trie]
-                for node in nodes:
-                    child = node.get(a)
-                    if child is None:
-                        continue
-                    if child.__class__ is int:
-                        break
-                    reached.append(child)
-                else:
-                    stack.append(((word[0], word[1] + (a,)), w2, arrow.head, tuple(reached)))
+                reached = _advance(trie, nodes, a)
+                if reached is not None:
+                    stack.append(((word[0], word[1] + (a,)), w2, arrow.head, reached))
+
+    def irreducible_table(self, max_weight: int, start: Hashable = None,
+                          step: Optional[Callable[[Hashable, int], Hashable]] = None
+                          ) -> Dict[Tuple[int, int, Hashable], int]:
+        """Irreducible words of weight < max_weight counted by (head, weight, caller state).
+
+        The caller's automaton starts every word, the lazy paths included,
+        in ``start`` and reads its arrow ids through ``step``; without one
+        every word stays in ``start``. The words are those
+        ``iter_irreducible`` lists, but none is built: the count runs
+        weight by weight over pairs of a state and a caller state. A state
+        is a vertex with the tuple of trie nodes ``iter_irreducible``
+        carries. It is interned by the identity of its last node, the
+        deepest, which fixes the others: they are the nodes of the shorter
+        suffixes, and each of those is a suffix of the deepest one's. The
+        pair decides which extensions stay irreducible and what the caller
+        sees next, so words that agree on it are counted together. Arrows
+        must weigh at least 1.
+        """
+        vertices = self.quiver.vertices
+        arrows_by_tail = self.quiver.arrows_by_tail
+        trie = self._trie
+        # per interned state: its vertex and trie nodes, the lazy paths first
+        states: List[Tuple[int, tuple]] = [(v, (trie,)) for v in vertices]
+        interned = {(v, id(trie)): s for s, v in enumerate(vertices)}
+        # state -> (arrow weight, next state, arrow id) for each arrow out of
+        # its vertex at which no lead ends
+        moves: Dict[int, List[Tuple[int, int, int]]] = {}
+        layers: List[Dict[tuple, int]] = [{} for _ in range(max_weight)]
+        if max_weight > 0:
+            layers[0] = {(s, start): 1 for s in range(len(vertices))}
+        table: Dict[Tuple[int, int, Hashable], int] = {}
+        for weight, layer in enumerate(layers):
+            # arrows weigh at least 1, so nothing extends the top layer
+            top = weight + 1 == max_weight
+            for (s, c), count in layer.items():
+                key = (states[s][0], weight, c)
+                table[key] = table.get(key, 0) + count
+                if top:
+                    continue
+                out = moves.get(s)
+                if out is None:
+                    vertex, nodes = states[s]
+                    out = moves[s] = []
+                    for arrow in arrows_by_tail[vertex]:
+                        reached = _advance(trie, nodes, arrow.index)
+                        if reached is None:
+                            continue
+                        ident = (arrow.head, id(reached[-1]))
+                        t = interned.get(ident)
+                        if t is None:
+                            t = interned[ident] = len(states)
+                            states.append((arrow.head, reached))
+                        out.append((arrow.weight, t, arrow.index))
+                for aw, t, a in out:
+                    w2 = weight + aw
+                    if w2 < max_weight:
+                        nxt = (t, c if step is None else step(c, a))
+                        target = layers[w2]
+                        target[nxt] = target.get(nxt, 0) + count
+        return table
 
     def irreducible_counts(self, max_weight: int) -> List[int]:
         counts = [0] * max_weight
-        for _w, weight in self.iter_irreducible(max_weight):
-            counts[weight] += 1
+        for (_head, weight, _c), count in self.irreducible_table(max_weight).items():
+            counts[weight] += count
         return counts
+
+
+def _advance(trie: Dict[int, object], nodes: tuple, a: int) -> Optional[tuple]:
+    """The trie nodes a word's suffixes reach once arrow a is appended, the root
+    first; None when a lead ends at a (a step from one of ``nodes`` to a leaf)."""
+    reached = [trie]
+    for node in nodes:
+        child = node.get(a)
+        if child is None:
+            continue
+        if child.__class__ is int:
+            return None
+        reached.append(child)
+    return tuple(reached)
 
 
 def _occurs(lead: Tuple[int, ...], ids: Tuple[int, ...]) -> bool:

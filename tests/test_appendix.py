@@ -1,13 +1,18 @@
 """Cyclic loop quiver: confluent system, basis counts, exact complex."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpcalc.appendix import (
+    BAD,
+    EMPTY,
     appendix_checks,
     appendix_quiver,
     appendix_system,
+    basis_shape_step,
     euler_count,
     exactness_check,
     expected_count,
@@ -15,6 +20,7 @@ from qpcalc.appendix import (
     is_basis_word,
 )
 from qpcalc.jacobi import all_paths
+from qpcalc.linalg import accumulate
 from qpcalc.series import NCElement
 
 
@@ -97,6 +103,21 @@ def test_basis_predicate_is_oracle_membership(monkeypatch):
             assert is_basis_word(q, w) == (w in oracle), q.format_word(w)
 
 
+def test_basis_shape_automaton_is_the_predicate(monkeypatch):
+    # every path of weight <= 8, arrow runs of both kinds and loops in every order
+    monkeypatch.setenv("QP_MAX_PATHS", "200000")
+    for n in range(1, 5):
+        q = appendix_quiver(n)
+        step = basis_shape_step(q)
+        paths = all_paths(q, 9)
+        assert len(paths) > 1000
+        for w in paths:
+            state = EMPTY
+            for a in w[1]:
+                state = step(state, a)
+            assert (state != BAD) == is_basis_word(q, w), q.format_word(w)
+
+
 def test_expected_count_is_oracle_size():
     for n in range(1, 5):
         q = appendix_quiver(n)
@@ -175,6 +196,10 @@ EXACTNESS_TABLES = {
     (3, 9): [((1, 4, 20, 20, 3), (1, 3, 17)), ((2, 12, 40, 30, 0), (2, 10, 30)),
              ((6, 20, 60, 50, 4), (6, 14, 46)), ((10, 40, 100, 70, 0), (10, 30, 70)),
              ((20, 60, 140, 105, 5), (20, 40, 100)), ((30, 100, 210, 140, 0), (30, 70, 140))],
+    (4, 10): [((1, 4, 24, 27, 6), (1, 3, 21)), ((2, 14, 54, 42, 0), (2, 12, 42)),
+              ((7, 24, 84, 77, 10), (7, 17, 67)), ((12, 54, 154, 112, 0), (12, 42, 112)),
+              ((27, 84, 224, 182, 15), (27, 57, 167)), ((42, 154, 364, 252, 0), (42, 112, 252)),
+              ((77, 224, 504, 378, 21), (77, 147, 357))],
 }
 
 
@@ -220,6 +245,28 @@ def test_confluence_under_random_schedules():
         expected = system.reduce(el)
         for _ in range(20):
             assert system.reduce_random(el, rng) == expected
+
+
+@lru_cache(maxsize=None)
+def _system_below_14(n):
+    return appendix_system(n, 14)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_normal_forms_fold_one_arrow_at_a_time(data):
+    # NF(u·a·b) = NF(NF(u·a)·b), the step the exactness check's images take
+    n = data.draw(st.integers(2, 4))
+    system = _system_below_14(n)
+    q = system.quiver
+    head = data.draw(st.integers(0, n))
+    u = data.draw(st.sampled_from(irreducible_words_oracle(q, head, data.draw(st.integers(0, 9)))))
+    a = data.draw(st.sampled_from(q.arrows_by_tail[head]))
+    b = data.draw(st.sampled_from(q.arrows_by_tail[a.head]))
+    folded = {}
+    for v, c in system.normal_form_word((u[0], u[1] + (a.index,))).items():
+        accumulate(folded, c, system.normal_form_word((v[0], v[1] + (b.index,))))
+    assert folded == system.normal_form_word((u[0], u[1] + (a.index, b.index)))
 
 
 def test_exactness_enumerates_each_basis_once(monkeypatch):

@@ -273,3 +273,60 @@ def test_iter_irreducible_matches_the_redex_search(case):
     words = [w for w, _weight in pairs]
     assert len(words) == len(set(words))
     assert set(words) == {w for w in all_paths(q, D) if sys._find_redex(w) is None}
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(random_relations())
+def test_irreducible_table_counts_the_listed_words(case):
+    # the count table against iter_irreducible's words, with the last arrow
+    # id as a caller automaton so caller states are checked as well
+    q, D, rels, _probes = case
+    sys = ReductionSystem(q, D)
+    for rel in rels:
+        sys.add_relation(rel)
+    sys.complete()
+    tallies = {}
+    for w, weight in sys.iter_irreducible(D):
+        key = (q.head_of(w), weight, w[1][-1] if w[1] else None)
+        tallies[key] = tallies.get(key, 0) + 1
+    assert sys.irreducible_table(D, None, lambda _last, a: a) == tallies
+    plain = {}
+    for (head, weight, _last), count in tallies.items():
+        plain[head, weight, None] = plain.get((head, weight, None), 0) + count
+    assert sys.irreducible_table(D) == plain
+    assert sys.irreducible_counts(D) == [sum(c for (_h, wt, _s), c in plain.items() if wt == weight)
+                                         for weight in range(D)]
+
+
+def test_weight_preserving_rules_skip_the_weight_sum(monkeypatch):
+    system = appendix_system(3, 14)
+    q = system.quiver
+    assert system.rules and not any(rule.raises for rule in system.rules.values())
+    words = [(0, (q.loop(0, 3), q.loop(0, 1), q.a(0), q.b(0), q.a(0))),
+             (1, (q.b(0), q.b(3), q.loop(3, 1), q.a(3), q.a(0)))]
+    calls = []
+    weight_of = Quiver.weight_of
+
+    def counting(self, w):
+        calls.append(w)
+        return weight_of(self, w)
+
+    monkeypatch.setattr(Quiver, "weight_of", counting)
+    rewrites = 0
+    for w in words:
+        while (redex := system._find_redex(w)) is not None:
+            # follow the first word of each expansion down the chain
+            w = next(iter(system._rewrite_once(w, *redex)))
+            rewrites += 1
+    assert rewrites > 5 and not calls
+
+    # a rule whose tail is heavier than its lead still sums the weight
+    lq = Quiver([1], [("x", 1, 1, 1), ("y", 1, 1, 1)])
+    raising = ReductionSystem(lq, 6)
+    raising.add_relation(NCElement.from_word(lq, 6, word(lq, ["x"]))
+                         - NCElement.from_word(lq, 6, word(lq, ["y", "y"])))
+    assert [rule.raises for rule in raising.rules.values()] == [True]
+    xyx = word(lq, ["x", "y", "x"])
+    calls.clear()
+    assert raising._rewrite_once(xyx, *raising._find_redex(xyx)) == {word(lq, ["y", "y", "y", "x"]): 1}
+    assert calls == [xyx]
