@@ -314,26 +314,17 @@ def classify(f: Potential) -> A3Class:
     """Family and parameters of a potential containing xy."""
     g, witness = normalize(f)
     q = g.quiver
-    pure_x: Dict[int, QQ] = {}
-    pure_y: Dict[int, QQ] = {}
-    for word, coeff in g.terms.items():
-        i, j = degrees_of(q, word)
-        if (i, j) == (1, 1):
-            continue
-        (pure_x if j == 0 else pure_y)[i if j == 0 else j] = coeff
-    k1 = ZERO
+    split = base_split(g)
+    k1, p, k2, qq = split.kappa1, split.p, split.kappa2, split.q
     mu = s = None
-    if len(pure_x) == 2:
+    # normalize leaves at most one extra pure power, mu x^s, and only when
+    # the square is degenerate
+    if split.residual_degrees:
         family = 2
-        p = 2
-        s = max(pure_x)
-        k1, mu = pure_x[2], pure_x[s]
-        qq = 2
-        k2 = pure_y[2]
+        (s,) = split.residual_degrees
+        mu = _coeff_xy(g, s, 0)
         params: Tuple = (s,)
-    elif pure_x and pure_y:
-        p, qq = min(pure_x), min(pure_y)
-        k1, k2 = pure_x[p], pure_y[qq]
+    elif p and qq:
         if p == 2 and qq == 2:
             lam = k1 * k2
             family = 4 if 4 * lam == 1 else 1
@@ -341,18 +332,12 @@ def classify(f: Potential) -> A3Class:
         else:
             family = 3
             params = (p, qq)
-    elif pure_x:
-        family, p, qq, k2 = 5, min(pure_x), None, ZERO
-        k1 = pure_x[p]
-        params = (p,)
-    elif pure_y:
-        family, p, k1 = 6, None, ZERO
-        qq = min(pure_y)
-        k2 = pure_y[qq]
-        params = (qq,)
+    elif p:
+        family, params = 5, (p,)
+    elif qq:
+        family, params = 6, (qq,)
     else:
-        family, p, qq, k2 = 7, None, None, ZERO
-        params = ()
+        family, params = 7, ()
     normalizer, scale = _normalizer(q, g.truncation, family, k1, p, k2, qq, mu, s)
     if normalizer is not None:
         normalizer = compose(witness, normalizer)

@@ -21,8 +21,8 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, Dict, List, Tuple
 
-from .field import ONE, QQ, ZERO
-from .linalg import accumulate, rank_of
+from .field import ONE, QQ
+from .linalg import accumulate, combine, rank_of
 from .quiver import Quiver, Word
 from .rewrite import ReductionSystem
 from .series import NCElement
@@ -262,6 +262,8 @@ def _image_vec(system: ReductionSystem, source: Word, factors: List[Tuple[Word, 
 
     A factor is applied one arrow at a time, NF(f·b0·bn) = NF(NF(f·b0)·bn),
     so a two-arrow factor reuses the cached normal form of its first step.
+    Only the product's weight is checked: no appendix rule raises the
+    weight, so no word met along the way weighs more than the product.
     """
     q = system.quiver
     truncation = system.truncation
@@ -272,19 +274,8 @@ def _image_vec(system: ReductionSystem, source: Word, factors: List[Tuple[Word, 
             continue
         vec: Vec = {source: ONE}
         for a in factor[1]:
-            step: Vec = {}
-            for (tail, ids), c in vec.items():
-                word = (tail, ids + (a,))
-                if q.weight_of(word) < truncation:
-                    accumulate(step, c, system.normal_form_word(word))
-            vec = step
-        for w, c in vec.items():
-            key = (tag, w)
-            s = out.get(key, ZERO) + coeff * c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            vec = combine(vec, lambda w, a=a: system.normal_form_word((w[0], w[1] + (a,))))
+        accumulate(out, coeff, {(tag, w): c for w, c in vec.items()})
     return out
 
 
@@ -344,14 +335,8 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
         for g in v2b:
             d2[(1, g)] = _image_vec(system, g, [(an, one, 0)])
 
-        def compose(vec: Vec, table) -> Vec:
-            out: Vec = {}
-            for key, c in vec.items():
-                accumulate(out, c, table[key])
-            return out
-
-        chain_ok = all(not compose(d4[h], d3) for h in v0) and \
-            all(not compose(d3[k], d2) for k in d3)
+        chain_ok = all(not combine(d4[h], d3.__getitem__) for h in v0) and \
+            all(not combine(d3[k], d2.__getitem__) for k in d3)
         # d1 kills everything except pure runs of interior loops
         d1_ok = True
         d1_rank_targets = set()

@@ -86,13 +86,8 @@ class Potential(NCElement):
             for k, idx in enumerate(ids):
                 if idx != a.index:
                     continue
-                rest = ids[k + 1 :] + ids[:k]
-                word = (a.head, rest)
-                acc = out.get(word, ZERO) + coeff
-                if acc == 0:
-                    out.pop(word, None)
-                else:
-                    out[word] = acc
+                word = (a.head, ids[k + 1 :] + ids[:k])
+                out[word] = out.get(word, ZERO) + coeff
         return NCElement(self.quiver, self.truncation, out)
 
     def __mul__(self, other):

@@ -1,14 +1,17 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts keyed by arbitrary comparable hashables. ``accumulate``
-is the package's one sparse ``acc += coeff * vec``; RowSpace keeps an
+Vectors are dicts keyed by arbitrary comparable hashables, and hold no
+zero coefficient. ``accumulate`` is the package's one sparse
+``acc += coeff * vec``: it drops every key that cancels, so a sum keeps
+that rule. ``combine`` is the linear extension of a map on keys, the sum
+of ``coeff * image(key)`` over a vector, built on it. RowSpace keeps an
 echelonized spanning set, and every rank and membership test goes
 through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 from .field import ONE, QQ
 
@@ -27,6 +30,15 @@ def accumulate(acc: Dict[Hashable, QQ], coeff: QQ, vec: Dict[Hashable, QQ]) -> N
                 acc[v] = s
             else:
                 del acc[v]
+
+
+def combine(vec: Dict[Hashable, QQ], image: Callable[[Hashable], Dict[Hashable, QQ]]
+            ) -> Dict[Hashable, QQ]:
+    """The sum of coeff * image(key) over vec, with no cancelled key."""
+    out: Dict[Hashable, QQ] = {}
+    for key, coeff in vec.items():
+        accumulate(out, coeff, image(key))
+    return out
 
 
 class RowSpace:

@@ -41,6 +41,13 @@ the counts by (head, weight, caller state); ``irreducible_counts`` uses
 none, and the cyclic-quiver basis check runs one for the basis shape.
 Its cost follows the number of states, not the number of words.
 
+A rewrite step never merges two words, so ``_rewrite_once`` stores each
+new word without summing. No tail word is lazy: arrows weigh at least 1,
+so a lazy word weighs 0 and would be the lead, and ``add_relation``
+rejects lazy leads. A word that is not lazy is fixed by its arrow ids,
+so distinct tail words have distinct ids, and splicing distinct ids
+between the same prefix and suffix gives distinct words.
+
 Rewriting assumes every word it is given weighs less than the
 truncation, as ``reduce`` guarantees by truncating first. A rule
 records whether any of its tail words is heavier than its lead
@@ -75,7 +82,7 @@ from collections import deque
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from .field import ONE, QQ, ZERO, PreconditionError
-from .linalg import accumulate
+from .linalg import accumulate, combine
 from .quiver import Quiver, Word
 from .series import NCElement
 
@@ -186,24 +193,15 @@ class ReductionSystem:
     def _rewrite_once(self, word: Word, pos: int, rid: int) -> Dict[Word, QQ]:
         tail_vertex, ids = word
         rule = self.rules[rid]
-        lead_len = len(rule.lead[1])
-        out: Dict[Word, QQ] = {}
+        before, after = ids[:pos], ids[pos + len(rule.lead[1]):]
         # a new word weighs weight(word) + gain, and is kept below the truncation;
         # word weighs less than it, so the room is at least 1 and no gain <= 0 is dropped
         room = self.truncation - self.quiver.weight_of(word) if rule.raises else 1
+        out: Dict[Word, QQ] = {}
+        # distinct tail words give distinct new words (module docstring), so none merge
         for mids, coeff, gain in rule.steps:
-            if gain >= room:
-                continue
-            new = (tail_vertex, ids[:pos] + mids + ids[pos + lead_len :])
-            old = out.get(new)
-            if old is None:
-                out[new] = coeff
-            else:
-                s = old + coeff
-                if s:
-                    out[new] = s
-                else:
-                    del out[new]
+            if gain < room:
+                out[tail_vertex, before + mids + after] = coeff
         return out
 
     # -- normal forms ---------------------------------------------------------------
@@ -251,7 +249,7 @@ class ReductionSystem:
                         break
                 else:
                     frames.pop()
-                    nf = cache[top] = _combine(expansion, cache)
+                    nf = cache[top] = combine(expansion, cache.__getitem__)
                     if chain_head is not top:
                         cache[chain_head] = nf
                     continue
@@ -262,11 +260,8 @@ class ReductionSystem:
 
     def reduce(self, el: NCElement) -> NCElement:
         assert el.quiver is self.quiver
-        out: Dict[Word, QQ] = {}
-        for word, coeff in el.truncate(self.truncation).terms.items():
-            accumulate(out, coeff, self.normal_form_word(word))
         res = NCElement(self.quiver, self.truncation)
-        res.terms = out
+        res.terms = combine(el.truncate(self.truncation).terms, self.normal_form_word)
         return res
 
     def reduce_random(self, el: NCElement, rng) -> NCElement:
@@ -472,14 +467,6 @@ def _trie_remove(root: Dict[int, object], ids: Tuple[int, ...]) -> None:
         if parent[a]:
             break
         del parent[a]
-
-
-def _combine(expansion: Dict[Word, QQ], cache: Dict[Word, Dict[Word, QQ]]) -> Dict[Word, QQ]:
-    """Normal form from a one-step expansion whose words are all cached."""
-    acc: Dict[Word, QQ] = {}
-    for u, c in expansion.items():
-        accumulate(acc, c, cache[u])
-    return acc
 
 
 def system_from_relations(quiver: Quiver, truncation: int, relations: Iterable[NCElement]) -> ReductionSystem:

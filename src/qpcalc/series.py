@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .field import QQ, ZERO, rational
+from .field import ONE, QQ, ZERO, rational
+from .linalg import accumulate
 from .quiver import Quiver, Word
 
 
@@ -63,15 +64,9 @@ class NCElement:
 
     def __add__(self, other: "NCElement") -> "NCElement":
         self._compatible(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word, ZERO) + coeff
-            if acc == 0:
-                out.pop(word, None)
-            else:
-                out[word] = acc
         res = self.__class__(self.quiver, self.truncation)
-        res.terms = out
+        res.terms = dict(self.terms)
+        accumulate(res.terms, ONE, other.terms)
         return res
 
     def __sub__(self, other: "NCElement") -> "NCElement":
@@ -105,15 +100,9 @@ class NCElement:
                 continue
             room = cap - weight(lw)
             ltail, lids = lw
-            for rids, rweight, rc in rights:
-                if rweight >= room:
-                    continue
-                word = (ltail, lids + rids)
-                acc = out.get(word, ZERO) + lc * rc
-                if acc == 0:
-                    out.pop(word, None)
-                else:
-                    out[word] = acc
+            # distinct right words with one tail have distinct ids, so no two collide here
+            accumulate(out, lc, {(ltail, lids + rids): rc for rids, rweight, rc in rights
+                                 if rweight < room})
         res = NCElement(quiver, cap)
         res.terms = out
         return res

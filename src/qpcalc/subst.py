@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-from .field import ONE, QQ
-from .linalg import accumulate, rank_of
+from .field import ONE
+from .linalg import combine, rank_of
 from .quiver import Quiver, Word
 from .series import NCElement
-from .cycles import Potential, canonical_cycle
+from .cycles import Potential
 
 
 class Substitution:
@@ -68,36 +68,13 @@ class Substitution:
 
     def apply_element(self, el: NCElement) -> NCElement:
         assert el.quiver is self.quiver
-        out: Dict[Word, QQ] = {}
-        for word, coeff in el.terms.items():
-            accumulate(out, coeff, self.apply_word(word).terms)
         res = NCElement(self.quiver, self.truncation)
-        res.terms = out
+        res.terms = combine(el.terms, lambda word: self.apply_word(word).terms)
         return res
 
     def apply_potential(self, f: Potential) -> Potential:
-        assert f.quiver is self.quiver
-        quiver = self.quiver
-        weight = quiver.weight_of
-        out = Potential(quiver, min(f.truncation, self.truncation))
-        cap = out.truncation
-        terms = out.terms
-        for word, coeff in f.terms.items():
-            for w, c in self.apply_word(word).terms.items():
-                if weight(w) >= cap:
-                    continue
-                key = canonical_cycle(quiver, w)
-                t = coeff * c
-                old = terms.get(key)
-                if old is None:
-                    terms[key] = t
-                else:
-                    s = old + t
-                    if s:
-                        terms[key] = s
-                    else:
-                        del terms[key]
-        return out
+        # the Potential constructor canonicalises each image word through add_cycle
+        return Potential(self.quiver, min(f.truncation, self.truncation), self.apply_element(f).terms)
 
     # -- structure -----------------------------------------------------------
 

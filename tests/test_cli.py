@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qpcalc
 from qpcalc import realize
@@ -330,6 +331,40 @@ def test_output_bytes_are_stable(tmp_path, capsys):
     main(["jdim", "--input", path])
     second = capsys.readouterr().out
     assert first == second
+
+
+_X, _Y = ["b1", "a1"], ["a2", "b2"]
+
+# inputs whose normalisation runs many substitution steps: a degenerate
+# square with junk in degrees 3-5, and a Type A potential with longer cycles
+SHUFFLED_INPUTS = {
+    "a3 classify": {"quiver": {"n": 3, "loopless": [1, 2, 3]}, "truncation": 12, "terms": [
+        {"coeff": c, "arrows": [a for letter in letters for a in letter]} for c, letters in (
+            ("1", (_X, _X)), ("1", (_X, _Y)), ("1/4", (_Y, _Y)), ("2/3", (_X, _X, _X)),
+            ("-1", (_X, _X, _Y)), ("3", (_X, _Y, _Y)), ("1/2", (_X, _Y, _X, _Y)),
+            ("-2", (_Y, _Y, _Y)), ("5", (_X,) * 4), ("-1/3", (_X, _X, _Y, _Y)), ("1", (_X,) * 5))]},
+    "monomialize": {**TYPE_A_INPUT, "truncation": 10, "terms": TYPE_A_INPUT["terms"] + [
+        {"coeff": "-1", "arrows": ["a3", "a3", "a3", "a3"]},
+        {"coeff": "2/3", "arrows": ["a2", "b2", "a2", "b2"]},
+        {"coeff": "3", "arrows": ["a1", "a1", "a2", "a3", "b2"]},
+        {"coeff": "-1/2", "arrows": ["a2", "a3", "a3", "b2", "a1"]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHUFFLED_INPUTS))
+@settings(max_examples=8, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_stdout_does_not_depend_on_term_order(tmp_path, capsys, case, data):
+    # sums keep terms in insertion order, which follows the input's order;
+    # every printed list is sorted, so that order must not reach stdout
+    doc = SHUFFLED_INPUTS[case]
+    argv = case.split() + ["--emit-substitution", "--input"]
+    assert main(argv + [write(tmp_path, "f.json", doc)]) == 0
+    expected = capsys.readouterr().out
+    shuffled = {**doc, "terms": data.draw(st.permutations(doc["terms"]))}
+    assert main(argv + [write(tmp_path, "f.json", shuffled)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("degree", [2, 3])

@@ -91,3 +91,34 @@ def test_bench_traced_names_resolve(module, attribute):
     else:
         obj = getattr(obj, attribute)
     assert callable(obj)
+
+
+# the functions allowed to delete a dict key: the one sparse sum, the one
+# entry for a potential's canonical terms, and the rule set and lead trie
+# retiring their entries. Every other sum goes through linalg.
+KEY_DELETERS = {"linalg.accumulate", "cycles.Potential.add_cycle",
+                "rewrite.ReductionSystem.add_relation", "rewrite._trie_remove"}
+
+
+def _key_deletions(tree: ast.Module, prefix: str):
+    """Qualified names of the functions holding ``del d[k]`` or ``d.pop(k, default)``."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Delete) and any(isinstance(t, ast.Subscript) for t in child.targets):
+                yield scope
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "pop" and len(child.args) == 2):
+                yield scope
+            yield from visit(child, scope)
+
+    yield from visit(tree, prefix)
+
+
+def test_key_deletions_stay_in_their_homes():
+    found = set()
+    for path in MODULES:
+        found.update(_key_deletions(ast.parse(path.read_text(), filename=str(path)), path.stem))
+    assert found <= KEY_DELETERS, f"hand-written key deletions in {sorted(found - KEY_DELETERS)}"

@@ -3,11 +3,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from qpcalc.appendix import appendix_system
+from qpcalc.cycles import Potential
 from qpcalc.field import QQ
 from qpcalc.jacobi import all_paths
+from qpcalc.linalg import combine
 from qpcalc.quiver import Quiver, double_an
 from qpcalc.series import NCElement
 from qpcalc.rewrite import ReductionSystem, system_from_relations
+from qpcalc.subst import Substitution
 
 
 def two_loop_quiver():
@@ -296,6 +299,74 @@ def test_irreducible_table_counts_the_listed_words(case):
     assert sys.irreducible_table(D) == plain
     assert sys.irreducible_counts(D) == [sum(c for (_h, wt, _s), c in plain.items() if wt == weight)
                                          for weight in range(D)]
+
+
+COEFFS = [QQ(p, r) for p in (-2, -1, 1, 2) for r in (1, 3)]
+
+
+def _element(draw, q, D, words):
+    return NCElement(q, D, {w: draw(st.sampled_from(COEFFS))
+                            for w in draw(st.lists(st.sampled_from(words), max_size=6))})
+
+
+@st.composite
+def sparse_sum_cases(draw):
+    """random_relations() plus, on its quiver and truncation: two elements
+    sharing some words with opposite coefficients, a potential, and a
+    substitution that adds longer parallel paths to some arrows."""
+    q, D, rels, probes = draw(random_relations())
+    paths = [w for w in all_paths(q, D) if w[1]]
+    a = _element(draw, q, D, paths)
+    shared = draw(st.lists(st.sampled_from(sorted(a.terms)), unique=True)) if a.terms else []
+    b = _element(draw, q, D, paths) - NCElement(q, D, {w: a.terms[w] for w in shared})
+    cycles = [w for w in paths if q.head_of(w) == w[0]]
+    f = Potential(q, D)
+    for w in draw(st.lists(st.sampled_from(cycles), max_size=6)):
+        f.add_cycle(w, draw(st.sampled_from(COEFFS)))
+    images = {}
+    for arrow in draw(st.sets(st.sampled_from(q.arrows))):
+        longer = [w for w in paths if len(w[1]) >= 2 and w[0] == arrow.tail
+                  and q.head_of(w) == arrow.head]
+        extra = _element(draw, q, D, longer) if longer else NCElement(q, D)
+        images[arrow.index] = NCElement.from_word(q, D, (arrow.tail, (arrow.index,))) + extra
+    return q, D, rels, probes, a, b, f, Substitution(q, D, images)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(sparse_sum_cases())
+def test_sparse_sums_leave_no_zero_and_nothing_heavy(case):
+    q, D, rels, probes, a, b, f, s = case
+    sys = system_from_relations(q, D, rels)
+
+    def clean(terms):
+        assert all(c != 0 for c in terms.values())
+        assert all(q.weight_of(w) < D for w in terms)
+        return terms
+
+    for el in (a + b, a - b, b - a, a * b, b * a, a.scale(QQ(2, 3)), a.scale(0),
+               f + f, f - f.scale(QQ(1, 2)), s.apply_element(a), s.apply_potential(f),
+               sys.reduce(a), sys.reduce(a * b)):
+        clean(el.terms)
+    assert not (a - a).terms and not (f - f).terms
+    for arrow in q.arrows:
+        clean(f.cyclic_derivative(arrow.name).terms)
+    # a substituted arrow minus its longer paths: those paths cancel in the image
+    for index, image in s.images.items():
+        arrow = q.arrows[index]
+        one_arrow = NCElement.from_word(q, D, (arrow.tail, (index,)))
+        clean(s.apply_element(one_arrow.scale(2) - image).terms)
+    for rel in rels:
+        assert not clean(sys.reduce(rel).terms)
+    assert clean(combine(a.terms, sys.normal_form_word)) == sys.reduce(a).terms
+    assert combine({0: QQ(1), 1: QQ(-1)}, lambda _key: clean(b.terms)) == {}
+    # one new word per tail word that fits below the truncation
+    for w in probes + list(a.terms) + [r.lead for r in sys.rules.values()]:
+        redex = sys._find_redex(w)
+        if redex is None:
+            continue
+        room = D - q.weight_of(w)
+        out = clean(sys._rewrite_once(w, *redex))
+        assert len(out) == sum(1 for _ids, _c, gain in sys.rules[redex[1]].steps if gain < room)
 
 
 def test_weight_preserving_rules_skip_the_weight_sum(monkeypatch):
