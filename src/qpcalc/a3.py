@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .cycles import Potential, canonical_cycle
 from .field import QQ, ZERO, PreconditionError, nth_root
-from .monomial import _higher_substitution, rescale_middle, type_a_report
+from .monomial import _higher_substitution, _junk_terms, rescale_middle, type_a_report
 from .quiver import DoubledPathQuiver, Word, double_an
 from .series import NCElement
 from .subst import Substitution, compose, compose_chain
@@ -64,11 +64,6 @@ def xy_potential(trunc: int, coeffs: Dict[Tuple[int, int], QQ],
     return f
 
 
-def degrees_of(q: DoubledPathQuiver, word: Word) -> Tuple[int, int]:
-    t = q.x_degrees(word)
-    return (t[0], t[1])
-
-
 @dataclass
 class BaseSplit:
     kappa1: QQ
@@ -91,7 +86,7 @@ def base_split(f: Potential) -> BaseSplit:
     pure_y: Dict[int, QQ] = {}
     mixed_degs = set()
     for word, coeff in f.terms.items():
-        i, j = degrees_of(q, word)
+        i, j = q.x_degrees(word)
         if (i, j) == (1, 1):
             assert coeff == 1, "xy coefficient must be rescaled to 1 first"
         elif j == 0:
@@ -158,12 +153,9 @@ def _coeff_xy(f: Potential, i: int, j: int) -> QQ:
 
 
 def _mixed_terms(f: Potential, degree: int) -> List[Tuple[Word, QQ, int]]:
-    out = []
-    for word, coeff in f.terms.items():
-        i, j = degrees_of(f.quiver, word)
-        if i >= 1 and j >= 1 and i + j == degree and (i, j) != (1, 1):
-            out.append((word, coeff, j))
-    return out
+    """(x^i y^j, coeff, j) for i, j >= 1, i + j = degree >= 3: on the two-cycle
+    quiver, the junk of ``monomial`` at that degree, whose top slot count is j."""
+    return [(w, c, top) for w, c, (_slot, top) in _junk_terms(f, degree)]
 
 
 def normalize(f: Potential) -> Tuple[Potential, Substitution]:

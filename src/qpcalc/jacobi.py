@@ -37,8 +37,8 @@ def jacobi_relations(f: Potential) -> List[NCElement]:
     return rels
 
 
-def delete_vertices(quiver: Quiver, relations: Iterable[NCElement], removed: Sequence[int],
-                    truncation: int) -> Tuple[Quiver, List[NCElement]]:
+def delete_vertices(quiver: Quiver, relations: Iterable[NCElement], removed: Sequence[int]
+                    ) -> Tuple[Quiver, List[NCElement]]:
     """Quotient by the idempotents of ``removed``: drop the vertices, their
     arrows, and every relation term whose path touches them."""
     removed_set = set(removed)
@@ -52,17 +52,8 @@ def delete_vertices(quiver: Quiver, relations: Iterable[NCElement], removed: Seq
         id_map[a.index] = len(specs)
         specs.append((a.name, a.tail, a.head, a.weight))
     small = Quiver(kept_vertices, specs)
-    mapped: List[NCElement] = []
-    for el in relations:
-        out: Dict[Word, QQ] = {}
-        for (tail, ids), coeff in el.terms.items():
-            if tail in removed_set or any(i not in id_map for i in ids):
-                continue
-            out[(tail, tuple(id_map[i] for i in ids))] = coeff
-        mapped_el = NCElement(small, truncation, out)
-        if not mapped_el.is_zero():
-            mapped.append(mapped_el)
-    return small, mapped
+    mapped = [el.relabel(small, id_map) for el in relations]
+    return small, [el for el in mapped if not el.is_zero()]
 
 
 @dataclass
@@ -117,7 +108,7 @@ def jdim(f: Potential, truncation: Optional[int] = None, quotient_vertices: Sequ
     relations = jacobi_relations(f.truncate(truncation))
     quiver = f.quiver
     if quotient_vertices:
-        quiver, relations = delete_vertices(quiver, relations, quotient_vertices, truncation)
+        quiver, relations = delete_vertices(quiver, relations, quotient_vertices)
     counts, closed = _count_run(quiver, relations, truncation)
     return DimensionReport(sum(counts), EXACT if closed else LOWER_BOUND, truncation, tuple(counts))
 

@@ -126,11 +126,7 @@ def potential_from_kappa(q: DoubledPathQuiver, truncation: int,
         assert word is not None
         f.add_cycle(word, 1)
     for (i, j), coeff in kappa.items():
-        letter = q.x_word(i)
-        word = letter
-        for _ in range(j - 1):
-            word = q.concat(word, letter)
-        f.add_cycle(word, coeff)
+        f.add_cycle(q.x_power(i, j), coeff)
     return f
 
 
@@ -170,10 +166,6 @@ def _skip_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
     return Substitution(q, f.truncation, {a_s: base - corr})
 
 
-def _block_word(q: DoubledPathQuiver, i: int) -> Tuple[int, ...]:
-    return q.x_word(i)[1]
-
-
 def _higher_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
     """One removal pass for a cycle touching at least two slots, degree >= 3.
 
@@ -189,38 +181,28 @@ def _higher_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
     a_s, b_s = q.a_index(s), q.b_index(s)
     ids = word[1]
     L = len(ids)
-    block = _block_word(q, hi)
+    block = q.x_word(hi)[1]
     blen = len(block)
 
     if q.is_loop(s):
-        # rotate any full x_r block to the end; prefix is a cycle at the loop vertex
+        # rotate any full x_r block to the end; the context is the cycle at
+        # the loop vertex before it
         doubled = ids + ids
         k = next(i for i in range(L) if doubled[i : i + blen] == block)
         start = (k + blen) % L
         rot = ids[start:] + ids[:start]
         assert rot[L - blen :] == block
-        prefix = rot[: L - blen]
-        v = q.left_vertex(s)
-        image = NCElement.from_word(q, f.truncation, (v, (a_s,))) - NCElement.from_word(
-            q, f.truncation, (v, prefix), coeff
-        )
-        return Substitution(q, f.truncation, {a_s: image})
-
-    # x_s is an edge pair: rotate to start at a b_s immediately preceded by a
-    # complete x_r block, then split at the first a_s.
-    block_end = block[-1]
-    k = next(
-        i for i in range(L) if ids[i] == b_s and ids[(i - 1) % L] == block_end
-    )
-    rot = ids[k:] + ids[:k]
-    assert rot[0] == b_s and rot[L - blen :] == block
-    i_a = rot.index(a_s)
-    p_ids = rot[1:i_a]
-    q_ids = rot[i_a + 1 : L - blen]
+        context = rot[: L - blen]
+    else:
+        # x_s is an edge pair: rotate to start at a b_s immediately preceded
+        # by a complete x_r block, then drop that b_s and the block
+        k = next(i for i in range(L) if ids[i] == b_s and ids[(i - 1) % L] == block[-1])
+        rot = ids[k:] + ids[:k]
+        assert rot[0] == b_s and rot[L - blen :] == block
+        context = rot[1 : L - blen]
     u = q.left_vertex(s)
-    image_word = (u, p_ids + (a_s,) + q_ids)
     image = NCElement.from_word(q, f.truncation, (u, (a_s,))) - NCElement.from_word(
-        q, f.truncation, image_word, coeff
+        q, f.truncation, (u, context), coeff
     )
     return Substitution(q, f.truncation, {a_s: image})
 
@@ -238,16 +220,6 @@ def _junk_terms(f: Potential, degree: Optional[int] = None) -> List[Tuple[Word, 
             t = q.x_degrees(word)
             out.append((word, coeff, (hi, t[hi - 1])))
     return out
-
-
-def _degrees_with_junk(f: Potential) -> List[int]:
-    q = f.quiver
-    degs = set()
-    for word, _ in f.terms.items():
-        kind, deg, lo, hi = term_shape(q, word)
-        if kind in ("skip", "other"):
-            degs.add(deg)
-    return sorted(degs)
 
 
 def monomialize(f: Potential) -> Tuple[Potential, MonomialReport, Substitution]:
@@ -312,15 +284,19 @@ def _monomialize_core(f: Potential) -> Tuple[Potential, List[Substitution]]:
             steps.append(sub)
             guard += 1
             assert guard < MAX_PASSES
-        remaining = _degrees_with_junk(f)
-        d = remaining[0] if remaining else f.truncation
+        # the lowest degree with junk left. Junk of degree 2 can only be a
+        # skip: a cycle touching slots lo < hi crosses every edge slot between
+        # them, at an a-letter each, so at x-degree 2 the slots between are
+        # untouched loops, and no two loop slots are adjacent. Hence no
+        # "other" cycle has degree 2: the junk is every skip and other term.
+        d = min((sum(q.x_degrees(w)) for w, _, _ in _junk_terms(f)), default=f.truncation)
     return f, steps
 
 
 # -- loop insertion and elimination ---------------------------------------------------
 
 
-def _relabel(old: DoubledPathQuiver, new: DoubledPathQuiver, slot_map: Dict[int, int]):
+def _arrow_map(old: DoubledPathQuiver, new: DoubledPathQuiver, slot_map: Dict[int, int]):
     """Arrow index map induced by a slot renumbering."""
     amap: Dict[int, int] = {}
     for i_old, i_new in slot_map.items():
@@ -333,13 +309,15 @@ def _relabel(old: DoubledPathQuiver, new: DoubledPathQuiver, slot_map: Dict[int,
     return amap
 
 
-def _map_potential(f: Potential, new_q: DoubledPathQuiver, amap: Dict[int, int]) -> Potential:
-    out = Potential(new_q, f.truncation)
-    for (tail, ids), coeff in f.terms.items():
-        new_ids = tuple(amap[i] for i in ids)
-        new_tail = new_q.arrows[new_ids[0]].tail
-        out.add_cycle((new_tail, new_ids), coeff)
-    return out
+def _neighbors(q: DoubledPathQuiver, D: int, s: int) -> NCElement:
+    """x_{s-1}' + x_{s+1}, the derivative of the consecutive products along
+    the loop a_s; a side past either end of the path is left out."""
+    terms = {}
+    if s > 1:
+        terms[q.xprime_word(s - 1)] = 1
+    if s < q.m:
+        terms[q.x_word(s + 1)] = 1
+    return NCElement(q, D, terms)
 
 
 def add_loop(f: Potential, vertex: int) -> Potential:
@@ -351,19 +329,14 @@ def add_loop(f: Potential, vertex: int) -> Potential:
     assert vertex in q.loopless, "vertex already carries a loop"
     assert extract_monomial(f) is not None, "input must be monomial"
     new_q = double_an(q.n, sorted(q.loopless - {vertex}))
-    # new loop slot index
-    t = next(i for i in range(1, new_q.m + 1) if new_q.is_loop(i) and new_q.left_vertex(i) == vertex)
+    t = new_q.loop_slot(vertex)
     slot_map = {i: (i if i < t else i + 1) for i in range(1, q.m + 1)}
-    g = _map_potential(f, new_q, _relabel(q, new_q, slot_map))
+    g = f.relabel(new_q, _arrow_map(q, new_q, slot_map))
     # seed the loop square, then absorb the neighbors into the loop
-    loop_word = new_q.x_word(t)
-    g.add_cycle(new_q.concat(loop_word, loop_word), QQ(-1, 2))
+    g.add_cycle(new_q.x_power(t, 2), QQ(-1, 2))
     a_t = new_q.a_index(t)
-    image = NCElement.from_word(new_q, f.truncation, (vertex, (a_t,)))
-    if t > 1:
-        image = image - NCElement.from_word(new_q, f.truncation, new_q.xprime_word(t - 1))
-    if t < new_q.m:
-        image = image - NCElement.from_word(new_q, f.truncation, new_q.x_word(t + 1))
+    image = (NCElement.from_word(new_q, f.truncation, (vertex, (a_t,)))
+             - _neighbors(new_q, f.truncation, t))
     sub = Substitution(new_q, f.truncation, {a_t: image})
     out = sub.apply_potential(g)
     mono = extract_monomial(out)
@@ -380,20 +353,13 @@ def eliminate_loop(f: Potential, vertex: int) -> Potential:
     assert isinstance(q, DoubledPathQuiver)
     mono = extract_monomial(f)
     assert mono is not None, "input must be monomial"
-    s = next(
-        (i for i in range(1, q.m + 1) if q.is_loop(i) and q.left_vertex(i) == vertex),
-        None,
-    )
+    s = q.loop_slot(vertex)
     assert s is not None, "vertex carries no loop"
     k2 = mono.kappa_at(s, 2)
     assert k2 != 0, "loop square coefficient must be invertible"
     D = f.truncation
 
-    neighbors = NCElement.zero(q, D)
-    if s > 1:
-        neighbors = neighbors + NCElement.from_word(q, D, q.xprime_word(s - 1))
-    if s < q.m:
-        neighbors = neighbors + NCElement.from_word(q, D, q.x_word(s + 1))
+    neighbors = _neighbors(q, D, s)
     higher = [(j, mono.kappa_at(s, j)) for (i, j) in mono.kappa if i == s and j >= 3]
 
     def rest(x: NCElement) -> NCElement:
@@ -424,7 +390,7 @@ def eliminate_loop(f: Potential, vertex: int) -> Potential:
 
     new_q = double_an(q.n, sorted(q.loopless | {vertex}))
     slot_map = {i: (i if i < s else i - 1) for i in range(1, q.m + 1) if i != s}
-    h = _map_potential(g, new_q, _relabel(q, new_q, slot_map))
+    h = g.relabel(new_q, _arrow_map(q, new_q, slot_map))
     h, _steps = _monomialize_core(h)
     assert extract_monomial(h) is not None
     return h

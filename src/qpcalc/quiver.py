@@ -70,9 +70,6 @@ class Quiver:
         assert tail is not None, "lazy path needs an explicit vertex"
         return (tail, ())
 
-    def word_names(self, word: Word) -> Tuple[str, ...]:
-        return tuple(self.arrows[i].name for i in word[1])
-
     def weight_of(self, word: Word) -> int:
         if self._unit:
             return len(word[1])
@@ -100,6 +97,9 @@ class DoubledPathQuiver(Quiver):
     Slot i provides the length-2 cycles x_i (based at the left vertex) and
     x_i' (based at the right vertex); a loop slot has x_i = x_i' = the loop
     itself and both vertices equal.
+
+    ``x_power(i, k)`` is the word x_i^k, and ``loop_slot(v)`` the slot of the
+    loop at v or None.
     """
 
     def __init__(self, n: int, loopless: Iterable[int] = ()):
@@ -155,6 +155,15 @@ class DoubledPathQuiver(Quiver):
         if kind == "loop":
             return (v, (ai,))
         return (v, (ai, bi))
+
+    def x_power(self, i: int, k: int) -> Word:
+        """x_i^k as a word; k = 0 gives the lazy path at the left vertex."""
+        return (self.left_vertex(i), self.x_word(i)[1] * k)
+
+    def loop_slot(self, vertex: int) -> Optional[int]:
+        """The slot of the loop at ``vertex``, or None when it is loopless."""
+        return next((i for i, (kind, v, _a, _b) in enumerate(self.slots, start=1)
+                     if kind == "loop" and v == vertex), None)
 
     def xprime_word(self, i: int) -> Word:
         """x_i' as a word: b_i a_i based at the right vertex."""

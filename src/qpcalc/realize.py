@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .field import ONE, QQ, ZERO, PreconditionError
+from .linalg import accumulate, combine
 from .quiver import DoubledPathQuiver, double_an
 from .series import NCElement
 
@@ -45,8 +46,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
+        accumulate(out, ONE, other.terms)
         return Poly(out)
 
     def __neg__(self) -> "Poly":
@@ -58,12 +58,8 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, QQ)):
             return Poly({m: c * other for m, c in self.terms.items()})
-        out: Dict[Monomial, QQ] = {}
-        for (a, b), c in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                m = (a + a2, b + b2)
-                out[m] = out.get(m, ZERO) + c * c2
-        return Poly(out)
+        return Poly(combine(self.terms, lambda m: {(m[0] + a, m[1] + b): c
+                                                   for (a, b), c in other.terms.items()}))
 
     __rmul__ = __mul__
 
@@ -200,21 +196,11 @@ def contraction_relations(
         raise PreconditionError(f"relations need the full doubled path on {n} vertices")
     D = truncation
 
-    def x_power(i: int, k: int) -> NCElement:
-        if k == 0:
-            return NCElement.lazy(q, D, q.left_vertex(i))
-        word = q.x_word(i)
-        acc = word
-        for _ in range(k - 1):
-            acc = q.concat(acc, word)
-            assert acc is not None
-        return NCElement.from_word(q, D, acc)
-
     def kappa_sum(i: int) -> NCElement:
         acc = NCElement.zero(q, D)
         for (slot, j), c in kappa.items():
             if slot == i:
-                acc = acc + x_power(i, j - 1).scale(j * c)
+                acc = acc + NCElement.from_word(q, D, q.x_power(i, j - 1), j * c)
         return acc
 
     out: List[Tuple[str, NCElement]] = []

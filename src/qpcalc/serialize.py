@@ -112,18 +112,16 @@ def potential_to_json(f: Potential) -> Dict[str, object]:
     return {
         "quiver": quiver_to_json(f.quiver),
         "truncation": f.truncation,
-        "terms": [
-            {"coeff": rational_str(c), "arrows": list(f.quiver.word_names(w))}
-            for w, c in f.sorted_items()
-        ],
+        "terms": element_to_json(f),
     }
 
 
 def element_to_json(el: NCElement) -> List[Dict[str, object]]:
-    """Term list of a path series (lazy paths rendered as ['eV'])."""
-    ordered = sorted(el.terms.items(), key=lambda kv: (len(kv[0][1]), kv[0][1], kv[0][0]))
+    """Term list of a path series (lazy paths rendered as ['eV']), in
+    ``sorted_items`` order; that is (length, ids, tail) on the unit-weight
+    doubled quivers, the only ones serialised."""
     out = []
-    for (tail, ids), coeff in ordered:
+    for (tail, ids), coeff in el.sorted_items():
         names = [el.quiver.arrows[i].name for i in ids] if ids else [f"e{tail}"]
         out.append({"coeff": rational_str(coeff), "arrows": names})
     return out

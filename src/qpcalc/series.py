@@ -9,7 +9,10 @@ arithmetic silently drops terms at or above the truncation: computing
 Sums, negation, scaling and truncation build an element of the left
 operand's class, so a subclass whose keys obey an invariant the plain
 arithmetic keeps (a :class:`~qpcalc.cycles.Potential`, keyed by canonical
-cycles) stays that subclass. Products are always plain elements.
+cycles) stays that subclass; a sum of two classes raises TypeError, as
+the right operand's keys need not obey it. Products are plain elements.
+
+``relabel`` moves an element to another quiver along an arrow map.
 """
 
 from __future__ import annotations
@@ -51,11 +54,6 @@ class NCElement:
     def lazy(cls, quiver: Quiver, truncation: int, vertex: int) -> "NCElement":
         return cls.from_word(quiver, truncation, (vertex, ()))
 
-    @classmethod
-    def arrow(cls, quiver: Quiver, truncation: int, name: str, coeff=1) -> "NCElement":
-        a = quiver.by_name[name]
-        return cls.from_word(quiver, truncation, (a.tail, (a.index,)), coeff)
-
     # -- ring operations ----------------------------------------------------
 
     def _compatible(self, other: "NCElement") -> None:
@@ -63,6 +61,8 @@ class NCElement:
         assert self.truncation == other.truncation, "mixed truncations"
 
     def __add__(self, other: "NCElement") -> "NCElement":
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
         self._compatible(other)
         res = self.__class__(self.quiver, self.truncation)
         res.terms = dict(self.terms)
@@ -137,6 +137,19 @@ class NCElement:
             weight = self.quiver.weight_of
             res.terms = {w: c for w, c in self.terms.items() if weight(w) < truncation}
         return res
+
+    def relabel(self, quiver: Quiver, amap: Dict[int, int]) -> "NCElement":
+        """This element on ``quiver`` with arrow ids renamed by ``amap``.
+
+        ``amap`` keeps arrow endpoints, so each word keeps its tail vertex. A
+        word using an arrow outside ``amap``, or a lazy path at a vertex
+        ``quiver`` lacks, is dropped. The class's constructor rebuilds the
+        terms in order, so a Potential re-canonicalises its keys.
+        """
+        vertices = set(quiver.vertices)
+        terms = {(tail, tuple(amap[i] for i in ids)): c for (tail, ids), c in self.terms.items()
+                 if tail in vertices and all(i in amap for i in ids)}
+        return self.__class__(quiver, self.truncation, terms)
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (self.quiver.weight_of(kv[0]), kv[0][1], kv[0][0]))

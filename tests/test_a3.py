@@ -54,7 +54,8 @@ def test_normalize_fixed_point():
     assert g == f
     # identity witness: every arrow maps to itself
     q = f.quiver
-    assert all(w.image_of(a.index) == NCElement.arrow(q, w.truncation, a.name) for a in q.arrows)
+    assert all(w.image_of(a.index) == NCElement.from_word(q, w.truncation, (a.tail, (a.index,)))
+               for a in q.arrows)
 
 
 def test_classify_examples():

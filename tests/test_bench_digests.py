@@ -1,0 +1,45 @@
+"""Replay the benchmark's pinned jobs in-process against their stdout digests.
+
+``bench/reference_digests.json`` holds the SHA-256 of the stdout of every job
+of the first two blocks of each workload at the benchmark's default seed, as
+``bench/worker.run_job`` captures it. Any change to ``qp`` output on those
+170 jobs fails here, not only when the benchmark runs.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from qpcalc.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+REFERENCE = json.loads((BENCH / "reference_digests.json").read_text())
+# bench/run.py's DEFAULT_SEED, the seed the reference was recorded at
+SEED = 1
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _bench_module("workloads")
+worker = _bench_module("worker")
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_pinned_bench_jobs_keep_their_stdout(tmp_path, monkeypatch, workload):
+    pinned = REFERENCE[workload]
+    blocks = workloads.make_blocks(workload, SEED, str(tmp_path))
+    monkeypatch.chdir(tmp_path)  # job argv name their inputs relative to the work dir
+    digests = {}
+    for b in sorted({int(key.split("/")[0]) for key in pinned}):
+        for k, job in enumerate(blocks[b]):
+            record = worker.run_job(main, job)
+            assert record["error"] is None, f"{workload} job {b}/{k}: {record['error']}"
+            digests[f"{b}/{k}"] = record["digest"]
+    assert digests == pinned

@@ -82,7 +82,8 @@ def test_already_monomial_is_untouched():
     assert g == f
     assert mono.kappa == {(1, 2): QQ(1), (2, 2): lam}
     # identity witness: every arrow maps to itself
-    assert all(sub.image_of(a.index) == NCElement.arrow(q, sub.truncation, a.name) for a in q.arrows)
+    assert all(sub.image_of(a.index) == NCElement.from_word(q, sub.truncation, (a.tail, (a.index,)))
+               for a in q.arrows)
 
 
 def test_skip_pass_exact():

@@ -43,3 +43,26 @@ def test_mixed_loop_counts():
     q = double_an(2)  # slots: loop@1, edge(1,2), loop@2
     w = q.word_from_names(["a1", "a1", "a2", "a3", "b2"])
     assert q.x_degrees(w) == (2, 1, 1)
+
+
+def _all_doubled_quivers(max_n=4):
+    for n in range(1, max_n + 1):
+        for mask in range(1 << n):
+            yield double_an(n, [v for v in range(1, n + 1) if mask >> (v - 1) & 1])
+
+
+def test_x_power_is_iterated_x_letter():
+    for q in _all_doubled_quivers():
+        for i in range(1, q.m + 1):
+            word = (q.left_vertex(i), ())
+            for k in range(5):
+                assert q.x_power(i, k) == word
+                word = q.concat(word, q.x_word(i))
+
+
+def test_loop_slot_finds_the_loop_at_a_vertex():
+    for q in _all_doubled_quivers():
+        for v in q.vertices:
+            loops = [i for i in range(1, q.m + 1) if q.is_loop(i) and q.left_vertex(i) == v]
+            assert q.loop_slot(v) == (loops[0] if loops else None)
+            assert len(loops) == (0 if v in q.loopless else 1)

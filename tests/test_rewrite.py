@@ -29,7 +29,7 @@ def test_rule_orientation_minimal_word_is_lead():
     sys = ReductionSystem(q, D)
     sys.add_relation(uv - vu)
     (rule,) = sys.rules.values()
-    assert q.word_names(rule.lead) == ("u", "v")
+    assert q.format_word(rule.lead) == "u*v"
 
 
 def test_commuting_loops_normal_forms():
@@ -62,7 +62,7 @@ def test_completion_finds_consequences():
     q = two_loop_quiver()
     D = 8
     uu = NCElement.from_word(q, D, word(q, ["u", "u"]))
-    v = NCElement.arrow(q, D, "v")
+    v = NCElement.from_word(q, D, word(q, ["v"]))
     uv = NCElement.from_word(q, D, word(q, ["u", "v"]))
     vu = NCElement.from_word(q, D, word(q, ["v", "u"]))
     sys = system_from_relations(q, D, [uu - v, uv - vu])

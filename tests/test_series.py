@@ -1,11 +1,14 @@
+import pytest
+
 from qpcalc.appendix import appendix_quiver
+from qpcalc.cycles import Potential, canonical_cycle
 from qpcalc.field import QQ
-from qpcalc.quiver import double_an
+from qpcalc.quiver import Quiver, double_an
 from qpcalc.series import NCElement
 
 
 def el(q, name, coeff=1, D=8):
-    return NCElement.arrow(q, D, name, coeff)
+    return NCElement.from_word(q, D, q.word_from_names([name]), coeff)
 
 
 def test_addition_cancels():
@@ -29,7 +32,7 @@ def test_multiplication_respects_composability():
 
 def test_truncation_drops_heavy_words():
     q = double_an(1)
-    a = NCElement.arrow(q, 4, "a1")
+    a = el(q, "a1", D=4)
     p = a * a * a  # weight 3 survives at truncation 4
     assert min(q.weight_of(w) for w in p.terms) == 3
     assert (p * a).is_zero()
@@ -66,3 +69,55 @@ def test_truncate_filters_by_weight_not_length():
     el = NCElement(q, 6, {loop: 1, arrow: 2})
     assert el.truncate(2).terms == {arrow: QQ(2)}
     assert el.truncate(3).terms == el.terms
+
+
+def test_sums_of_mixed_classes_raise():
+    # a Potential keys by canonical cycles; a plain element's keys need not be
+    q = double_an(2, ())
+    D = 8
+    cycle = q.word_from_names(["a1", "a2", "b2"])
+    rotated = q.word_from_names(["a2", "b2", "a1"])
+    f = Potential(q, D, {cycle: 1})
+    g = NCElement(q, D, {rotated: -1})
+    for left, right in ((f, g), (g, f)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+    total = f + Potential(q, D, {rotated: -1})
+    assert type(total) is Potential and total.is_zero()
+
+
+def test_relabel_identity_keeps_element_and_class():
+    q = double_an(2, ())
+    D = 8
+    identity = {a.index: a.index for a in q.arrows}
+    x = el(q, "a1") * el(q, "a2") + NCElement.lazy(q, D, 2)
+    assert type(x.relabel(q, identity)) is NCElement and x.relabel(q, identity) == x
+    f = Potential(q, D, {q.word_from_names(["a2", "b2", "a1"]): 3, q.word_from_names(["a3"]): 1})
+    assert type(f.relabel(q, identity)) is Potential and f.relabel(q, identity) == f
+
+
+def test_relabel_drops_exactly_the_words_using_unmapped_arrows():
+    q = double_an(2, ())
+    D = 8
+    kept = {a.index: a.index for a in q.arrows if a.name != "a3"}
+    x = NCElement(q, D, {q.word_from_names(names): k for k, names in enumerate(
+        [["a1"], ["a3"], ["a2", "a3"], ["a2", "b2"], ["a1", "a2", "a3", "b2"]], start=1)})
+    a3 = q.by_name["a3"].index
+    assert x.relabel(q, kept).terms == {w: c for w, c in x.terms.items() if a3 not in w[1]}
+
+
+def test_relabel_drops_lazy_paths_off_the_target_and_recanonicalises():
+    # the same arrows listed in another order, so a mapped cycle needs a new rotation
+    q = double_an(2, ())
+    target = Quiver([1, 2], [("c", 2, 2, 1), ("a", 1, 2, 1), ("b", 2, 1, 1), ("d", 1, 1, 1)])
+    amap = {q.by_name["a1"].index: 3, q.by_name["a2"].index: 1,
+            q.by_name["b2"].index: 2, q.by_name["a3"].index: 0}
+    x = NCElement(q, 8, {(1, ()): 1, (2, ()): 2})
+    assert x.relabel(double_an(1, ()), {}).terms == {(1, ()): QQ(1)}
+    f = Potential(q, 8, {q.word_from_names(["a1", "a2", "a3", "b2"]): 5})
+    g = f.relabel(target, amap)
+    assert type(g) is Potential
+    assert all(canonical_cycle(target, w) == w for w in g.terms)
+    assert g.coeff((1, (3, 1, 0, 2))) == QQ(5)

@@ -11,9 +11,13 @@ def quiver_a3():
     return double_an(3, loopless=[1, 2, 3])
 
 
+def arrow(q, D, name, coeff=1):
+    return NCElement.from_word(q, D, q.word_from_names([name]), coeff)
+
+
 def shear(q, D, coeff=1):
     """a1 -> a1 + coeff * a1 b1 a1, everything else fixed."""
-    a1 = NCElement.arrow(q, D, "a1")
+    a1 = arrow(q, D, "a1")
     corr = NCElement.from_word(q, D, q.word_from_names(["a1", "b1", "a1"]), coeff)
     return Substitution(q, D, {"a1": a1 + corr})
 
@@ -37,7 +41,7 @@ def test_invertibility():
     assert s.is_invertible()
 
     # a linear rescale is invertible
-    r = Substitution(q, 8, {"a1": NCElement.arrow(q, 8, "a1", QQ(3))})
+    r = Substitution(q, 8, {"a1": arrow(q, 8, "a1", QQ(3))})
     assert r.is_invertible()
 
     # killing an arrow is not invertible
@@ -61,7 +65,7 @@ def test_compose_against_sequential_application():
     q = quiver_a3()
     D = 8
     s1 = shear(q, D, coeff=2)
-    b1 = NCElement.arrow(q, D, "b1")
+    b1 = arrow(q, D, "b1")
     corr = NCElement.from_word(q, D, q.word_from_names(["b1", "a1", "b1"]), QQ(1, 3))
     s2 = Substitution(q, D, {"b1": b1 + corr})
     f = x_monomial(q, D, [(1, True), (1, True)])  # x^2
@@ -90,7 +94,7 @@ def unitriangular(draw, D):
     q = A2
     images = {}
     for a in draw(st.sets(st.sampled_from(q.arrows), max_size=len(q.arrows))):
-        el = NCElement.arrow(q, D, a.name)
+        el = arrow(q, D, a.name)
         for w in draw(st.lists(st.sampled_from(paths(q, a.tail, a.head, 2, D - 1)),
                                max_size=2, unique=True)):
             coeff = QQ(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 3)))
