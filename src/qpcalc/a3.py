@@ -4,8 +4,9 @@ Everything here lives on the doubled 3-vertex path with no loops: two
 edge slots, x the reversed first edge pair, y the second. A potential
 containing xy splits into a base part (lowest pure powers plus xy) and a
 redundant part; the normalization driver removes the redundant part one
-degree at a time, using three one-parameter substitution families and a
-funnel step that trades any mixed cycle for one with fewer y letters.
+degree at a time, using three one-parameter substitution families and
+``monomial``'s funnel, which trades any mixed cycle for ones with fewer y
+letters.
 
 The endpoint is one of seven classes:
 
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .cycles import Potential, canonical_cycle
 from .field import QQ, ZERO, PreconditionError, nth_root
-from .monomial import _higher_substitution, _junk_terms, rescale_middle, type_a_report
+from .monomial import _funnel, _junk_terms, _step, _unit_middles
 from .quiver import DoubledPathQuiver, Word, double_an
 from .series import NCElement
 from .subst import Substitution, compose, compose_chain
@@ -116,33 +117,24 @@ def phi11(q: DoubledPathQuiver, trunc: int, s: int, lam: QQ) -> Substitution:
     """x -> x + lam x^{s+1}: adds lam p k1 x^{p+s} and lam x^{s+1} y."""
     assert s >= 1
     a1 = q.a_index(1)
-    img = NCElement.from_word(q, trunc, (1, (a1,))) + NCElement.from_word(
-        q, trunc, (1, (a1,) + x_ids(q) * s), lam
-    )
-    return Substitution(q, trunc, {a1: img})
+    return Substitution.moves(q, trunc, {a1: (1, {(1, (a1,) + x_ids(q) * s): lam})})
 
 
 def phi22(q: DoubledPathQuiver, trunc: int, s: int, lam: QQ) -> Substitution:
     """y -> y + lam y^{s+1}: adds lam q k2 y^{q+s} and lam x y^{s+1}."""
     assert s >= 1
     a2 = q.a_index(2)
-    img = NCElement.from_word(q, trunc, (2, (a2,))) + NCElement.from_word(
-        q, trunc, (2, y_ids(q) * s + (a2,)), lam
-    )
-    return Substitution(q, trunc, {a2: img})
+    return Substitution.moves(q, trunc, {a2: (1, {(2, y_ids(q) * s + (a2,)): lam})})
 
 
 def phi12(q: DoubledPathQuiver, trunc: int, s: int, lam1: QQ, lam2: QQ) -> Substitution:
     """x -> x + lam1 x^s y together with y -> y + lam2 x^s y."""
     assert s >= 1
     a1, a2 = q.a_index(1), q.a_index(2)
-    img1 = NCElement.from_word(q, trunc, (1, (a1,))) + NCElement.from_word(
-        q, trunc, (1, (a1,) + x_ids(q) * (s - 1) + y_ids(q)), lam1
-    )
-    img2 = NCElement.from_word(q, trunc, (2, (a2,))) + NCElement.from_word(
-        q, trunc, (2, x_ids(q) * s + (a2,)), lam2
-    )
-    return Substitution(q, trunc, {a1: img1, a2: img2})
+    return Substitution.moves(q, trunc, {
+        a1: (1, {(1, (a1,) + x_ids(q) * (s - 1) + y_ids(q)): lam1}),
+        a2: (1, {(2, x_ids(q) * s + (a2,)): lam2}),
+    })
 
 
 # -- normalization driver -----------------------------------------------------------
@@ -150,12 +142,6 @@ def phi12(q: DoubledPathQuiver, trunc: int, s: int, lam1: QQ, lam2: QQ) -> Subst
 
 def _coeff_xy(f: Potential, i: int, j: int) -> QQ:
     return f.coeff(xy_word(f.quiver, i, j))
-
-
-def _mixed_terms(f: Potential, degree: int) -> List[Tuple[Word, QQ, int]]:
-    """(x^i y^j, coeff, j) for i, j >= 1, i + j = degree >= 3: on the two-cycle
-    quiver, the junk of ``monomial`` at that degree, whose top slot count is j."""
-    return [(w, c, top) for w, c, (_slot, top) in _junk_terms(f, degree)]
 
 
 def normalize(f: Potential) -> Tuple[Potential, Substitution]:
@@ -169,21 +155,12 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
     q = f.quiver
     assert isinstance(q, DoubledPathQuiver) and q.m == 2
     D = f.truncation
-    rep = type_a_report(f)
-    assert rep.is_type_a, "potential must contain xy"
     steps: List[Substitution] = []
-    if rep.middle_coeffs[1] != 1:
-        f, sub = rescale_middle(f)
-        steps.append(sub)
+    f = _unit_middles(f, steps)
     split = base_split(f)
     k1, p, k2, qq = split.kappa1, split.p, split.kappa2, split.q
     det0 = split.det_zero
     s_star: Optional[int] = None
-
-    def apply(sub: Substitution) -> None:
-        nonlocal f
-        f = sub.apply_potential(f)
-        steps.append(sub)
 
     # terms of degree d in x, y have path weight 2d
     for d in range(3, (D - 1) // 2 + 1):
@@ -191,22 +168,16 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
         if k2 != 0:
             alpha2 = _coeff_xy(f, 0, qq + d - 2)
             if alpha2 != 0:
-                apply(phi22(q, D, d - 2, -alpha2 / (qq * k2)))
+                f = _step(f, phi22(q, D, d - 2, -alpha2 / (qq * k2)), steps)
         # pure x^{p+d-2}, except in the degenerate case where pure x powers
         # are collected and removed against the lowest one
         if not det0 and k1 != 0:
             alpha1 = _coeff_xy(f, p + d - 2, 0)
             if alpha1 != 0:
-                apply(phi11(q, D, d - 2, -alpha1 / (p * k1)))
-        # funnel mixed cycles of total degree d down to x^{d-1}y (or all the
-        # way into x^d when collecting)
-        while True:
-            mixed = _mixed_terms(f, d)
-            targets = mixed if det0 else [t for t in mixed if t[2] >= 2]
-            if not targets:
-                break
-            word, coeff, _ = max(targets, key=lambda t: (t[2], t[0][1]))
-            apply(_higher_substitution(f, word, coeff))
+                f = _step(f, phi11(q, D, d - 2, -alpha1 / (p * k1)), steps)
+        # funnel mixed cycles x^i y^j of total degree d (j is the top slot
+        # count) down to x^{d-1}y, or all the way into x^d when collecting
+        f = _funnel(f, d, steps, 1 if det0 else 2)
         if not det0:
             beta = _coeff_xy(f, d - 1, 1)
             if beta != 0:
@@ -216,9 +187,9 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
                 # solve [[e12,1],[1,e22]] v = (-beta, 0)
                 lam1 = (-beta * e22) / det
                 lam2 = beta / det
-                apply(phi12(q, D, d - 2, lam1, lam2))
+                f = _step(f, phi12(q, D, d - 2, lam1, lam2), steps)
                 assert _coeff_xy(f, d - 1, 1) == 0
-            assert not _mixed_terms(f, d)
+            assert not _junk_terms(f, d)
         else:
             mu_d = _coeff_xy(f, d, 0)
             if s_star is None:
@@ -226,14 +197,14 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
                     s_star = d
             elif mu_d != 0:
                 lam = -mu_d / (2 * k1)
-                apply(phi11(q, D, d - 2, lam))
+                f = _step(f, phi11(q, D, d - 2, lam), steps)
                 beta = _coeff_xy(f, d - 1, 1)
                 assert beta == lam
                 mu_s = _coeff_xy(f, s_star, 0)
                 lam1 = -beta / (s_star * mu_s)
-                apply(phi12(q, D, d - s_star, lam1, -2 * k1 * lam1))
+                f = _step(f, phi12(q, D, d - s_star, lam1, -2 * k1 * lam1), steps)
                 assert _coeff_xy(f, d, 0) == 0 and _coeff_xy(f, d - 1, 1) == 0
-                assert not _mixed_terms(f, d)
+                assert not _junk_terms(f, d)
 
     check = base_split(f)
     expected = () if (not det0 or s_star is None) else (s_star,)
@@ -262,12 +233,7 @@ class A3Class:
 
 def scaling(q: DoubledPathQuiver, trunc: int, a: QQ, b: QQ) -> Substitution:
     """x -> a x, y -> b y via the two forward arrows."""
-    images = {}
-    if a != 1:
-        images[q.a_index(1)] = NCElement.from_word(q, trunc, (1, (q.a_index(1),)), a)
-    if b != 1:
-        images[q.a_index(2)] = NCElement.from_word(q, trunc, (2, (q.a_index(2),)), b)
-    return Substitution(q, trunc, images)
+    return Substitution.moves(q, trunc, {q.a_index(i): (c, {}) for i, c in ((1, a), (2, b)) if c != 1})
 
 
 def _normalizer(q, trunc, family, k1, p, k2, qq, mu, s):

@@ -209,14 +209,13 @@ def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
                           "pass": bool(ambiguities) and not witnesses,
                           "witnesses": witnesses}
 
-    rule_shapes = sorted(
-        (r.lead[1], tuple(sorted(w[1] for w in r.tail.terms))) for r in system.rules.values()
-    )
+    def rule_shapes():
+        return sorted((r.lead[1], tuple(sorted(w[1] for w in r.tail.terms)))
+                      for r in system.rules.values())
+
+    before = rule_shapes()
     system.complete()
-    fixed = rule_shapes == sorted(
-        (r.lead[1], tuple(sorted(w[1] for w in r.tail.terms))) for r in system.rules.values()
-    )
-    report["completion_fixpoint"] = {"pass": fixed}
+    report["completion_fixpoint"] = {"pass": rule_shapes() == before}
 
     # per (head, weight): irreducible words of the basis shape, and the others
     matched: Dict[Tuple[int, int], int] = {}

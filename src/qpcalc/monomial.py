@@ -7,15 +7,17 @@ products (all with coefficient 1), only pure powers x_i^j remain.
 
 The pipeline:
 
-1. rescale the a-arrows so all consecutive products carry coefficient 1;
-2. remove the only non-monomial degree-2 shapes, products x_{s-1}' x_{s+1}
-   jumping over a loop, by a_s -> a_s - coeff * x_{s-1}';
-3. degree by degree, remove every cycle touching at least two slots by a
-   substitution that trades it for cycles whose top slot multiplicity is
-   strictly smaller, until only pure powers remain.
+1. ``_unit_middles``: rescale the a-arrows so all consecutive products
+   carry coefficient 1;
+2. the skip loop: remove the only non-monomial degree-2 shapes, products
+   x_{s-1}' x_{s+1} jumping over a loop, by a_s -> a_s - coeff * x_{s-1}';
+3. ``_funnel``, degree by degree: remove every cycle touching at least two
+   slots by a substitution that trades it for cycles whose top slot
+   multiplicity is strictly smaller, until only pure powers remain.
 
-Each step is an exact substitution below the truncation, so composing the
-recorded substitutions reproduces the output from the input on the nose.
+``_step`` records each exact substitution, so composing them reproduces the
+output from the input on the nose; ``a3.normalize`` shares all three. Both
+loops stop after MAX_PASSES passes with an AssertionError, which -O keeps.
 """
 
 from __future__ import annotations
@@ -141,13 +143,8 @@ def rescale_middle(f: Potential) -> Tuple[Potential, Substitution]:
     k = [QQ(1)]
     for i in range(1, q.m):
         k.append(1 / (k[-1] * report.middle_coeffs[i]))
-    images = {}
-    for i in range(1, q.m + 1):
-        if k[i - 1] != 1:
-            images[q.a_index(i)] = NCElement.from_word(
-                f.quiver, f.truncation, (q.left_vertex(i), (q.a_index(i),)), k[i - 1]
-            )
-    sub = Substitution(q, f.truncation, images)
+    sub = Substitution.moves(q, f.truncation, {q.a_index(i): (k[i - 1], {})
+                                               for i in range(1, q.m + 1) if k[i - 1] != 1})
     return sub.apply_potential(f), sub
 
 
@@ -160,10 +157,7 @@ def _skip_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
     _, _, lo, hi = term_shape(q, word)
     s = lo + 1
     assert q.is_loop(s)
-    a_s = q.a_index(s)
-    base = NCElement.from_word(q, f.truncation, (q.left_vertex(s), (a_s,)))
-    corr = NCElement.from_word(q, f.truncation, q.xprime_word(s - 1), coeff)
-    return Substitution(q, f.truncation, {a_s: base - corr})
+    return Substitution.moves(q, f.truncation, {q.a_index(s): (1, {q.xprime_word(s - 1): -coeff})})
 
 
 def _higher_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
@@ -200,11 +194,7 @@ def _higher_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
         rot = ids[k:] + ids[:k]
         assert rot[0] == b_s and rot[L - blen :] == block
         context = rot[1 : L - blen]
-    u = q.left_vertex(s)
-    image = NCElement.from_word(q, f.truncation, (u, (a_s,))) - NCElement.from_word(
-        q, f.truncation, (u, context), coeff
-    )
-    return Substitution(q, f.truncation, {a_s: image})
+    return Substitution.moves(q, f.truncation, {a_s: (1, {(q.left_vertex(s), context): -coeff})})
 
 
 def _junk_terms(f: Potential, degree: Optional[int] = None) -> List[Tuple[Word, QQ, Tuple[int, int]]]:
@@ -240,50 +230,56 @@ def monomialize(f: Potential) -> Tuple[Potential, MonomialReport, Substitution]:
     return g, mono, compose_chain(steps, f.quiver, f.truncation)
 
 
+def _step(f: Potential, sub: Substitution, steps: List[Substitution]) -> Potential:
+    """Record ``sub`` in ``steps`` and return its image of ``f``."""
+    steps.append(sub)
+    return sub.apply_potential(f)
+
+
+def _unit_middles(f: Potential, steps: List[Substitution]) -> Potential:
+    """Step 1, recorded: rescale so every consecutive product carries coefficient 1."""
+    report = type_a_report(f)
+    assert report.is_type_a, "every consecutive product must be present"
+    if any(c != 1 for c in report.middle_coeffs.values()):
+        f, sub = rescale_middle(f)
+        steps.append(sub)
+    return f
+
+
+def _funnel(f: Potential, degree: int, steps: List[Substitution], min_top: int = 1) -> Potential:
+    """Remove the junk of one ``degree`` >= 3 whose top slot count is at least
+    ``min_top``, recording each step, the largest ((top slot, top count), ids) first."""
+    for _ in range(MAX_PASSES):
+        junk = [item for item in _junk_terms(f, degree) if item[2][1] >= min_top]
+        if not junk:
+            return f
+        word, coeff, _measure = max(junk, key=lambda it: (it[2], it[0][1]))
+        f = _step(f, _higher_substitution(f, word, coeff), steps)
+    raise AssertionError(f"junk of degree {degree} left after {MAX_PASSES} passes")
+
+
 def _monomialize_core(f: Potential) -> Tuple[Potential, List[Substitution]]:
     q = f.quiver
     steps: List[Substitution] = []
-
-    def rescale(g: Potential) -> Potential:
-        rep = type_a_report(g)
-        assert rep.is_type_a, "a consecutive product vanished during normalization"
-        if any(c != 1 for c in rep.middle_coeffs.values()):
-            g, sub = rescale_middle(g)
-            steps.append(sub)
-        return g
-
-    f = rescale(f)
+    f = _unit_middles(f, steps)
 
     # degree 2: kill loop-jumping products, then repair any drift the kill
     # causes to consecutive products when loop squares are around
-    guard = 0
-    while True:
-        skips = [item for item in _junk_terms(f, degree=2)]
+    for _ in range(MAX_PASSES):
+        skips = _junk_terms(f, degree=2)
         if not skips:
             break
         word, coeff, _ = skips[0]
-        sub = _skip_substitution(f, word, coeff)
-        f = sub.apply_potential(f)
-        steps.append(sub)
-        guard += 1
-        assert guard < MAX_PASSES
-    f = rescale(f)
+        f = _step(f, _skip_substitution(f, word, coeff), steps)
+    else:
+        raise AssertionError(f"skips left after {MAX_PASSES} passes")
+    f = _unit_middles(f, steps)
 
     # higher degrees, ascending; each removal only adds junk at the same
     # degree with smaller top-slot data or at strictly higher degrees
     d = 3
     while d < f.truncation:
-        guard = 0
-        while True:
-            junk = _junk_terms(f, degree=d)
-            if not junk:
-                break
-            word, coeff, _measure = max(junk, key=lambda it: (it[2], it[0][1]))
-            sub = _higher_substitution(f, word, coeff)
-            f = sub.apply_potential(f)
-            steps.append(sub)
-            guard += 1
-            assert guard < MAX_PASSES
+        f = _funnel(f, d, steps)
         # the lowest degree with junk left. Junk of degree 2 can only be a
         # skip: a cycle touching slots lo < hi crosses every edge slot between
         # them, at an a-letter each, so at x-degree 2 the slots between are
@@ -334,10 +330,8 @@ def add_loop(f: Potential, vertex: int) -> Potential:
     g = f.relabel(new_q, _arrow_map(q, new_q, slot_map))
     # seed the loop square, then absorb the neighbors into the loop
     g.add_cycle(new_q.x_power(t, 2), QQ(-1, 2))
-    a_t = new_q.a_index(t)
-    image = (NCElement.from_word(new_q, f.truncation, (vertex, (a_t,)))
-             - _neighbors(new_q, f.truncation, t))
-    sub = Substitution(new_q, f.truncation, {a_t: image})
+    sub = Substitution.moves(new_q, f.truncation,
+                             {new_q.a_index(t): (1, (-_neighbors(new_q, f.truncation, t)).terms)})
     out = sub.apply_potential(g)
     mono = extract_monomial(out)
     assert mono is not None and mono.kappa_at(t, 2) == QQ(-1, 2)

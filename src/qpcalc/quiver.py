@@ -44,7 +44,6 @@ class Quiver:
         self.arrows: Tuple[Arrow, ...] = tuple(built)
         self.by_name = {a.name: a for a in self.arrows}
         assert len(self.by_name) == len(self.arrows), "duplicate arrow name"
-        self._tails = tuple(a.tail for a in self.arrows)
         self._heads = tuple(a.head for a in self.arrows)
         self._weights = tuple(a.weight for a in self.arrows)
         # doubled quivers weigh 1 per arrow, so a word's weight is its length
@@ -56,19 +55,6 @@ class Quiver:
     def head_of(self, word: Word) -> int:
         tail, ids = word
         return self._heads[ids[-1]] if ids else tail
-
-    def word_from_names(self, names: Sequence[str], tail: Optional[int] = None) -> Word:
-        """Build a word from arrow names; tail only needed for the lazy path."""
-        ids = tuple(self.by_name[n].index for n in names)
-        if ids:
-            t = self._tails[ids[0]]
-            at = t
-            for i in ids:
-                assert self._tails[i] == at, f"non-composable at {self.arrows[i].name}"
-                at = self._heads[i]
-            return (t, ids)
-        assert tail is not None, "lazy path needs an explicit vertex"
-        return (tail, ())
 
     def weight_of(self, word: Word) -> int:
         if self._unit:

@@ -82,7 +82,7 @@ def _word_from_entry(quiver: DoubledPathQuiver, entry) -> Tuple[Tuple, QQ]:
     for before, after in zip(arrows, arrows[1:]):
         _require(before.head == after.tail,
                  f"arrows do not compose: non-composable at {after.name}")
-    word = quiver.word_from_names(names)
+    word = (arrows[0].tail, tuple(a.index for a in arrows))
     _require(
         quiver.head_of(word) == word[0],
         f"term {'*'.join(names)} is not a closed cycle",

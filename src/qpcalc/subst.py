@@ -4,14 +4,17 @@ A substitution maps each arrow to a path series with the same endpoints;
 it extends multiplicatively to words and linearly to series, everything
 modulo the truncation. Composition order: ``compose(s1, s2)`` applies
 ``s1`` first.
+
+``Substitution.moves`` builds the coordinate changes the normalizations
+chain, each listed arrow a going to scale*a plus higher terms.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .field import ONE
-from .linalg import combine, rank_of
+from .field import ONE, QQ
+from .linalg import accumulate, combine, rank_of
 from .quiver import Quiver, Word
 from .series import NCElement
 from .cycles import Potential
@@ -37,6 +40,22 @@ class Substitution:
     @classmethod
     def identity(cls, quiver: Quiver, truncation: int) -> "Substitution":
         return cls(quiver, truncation)
+
+    @classmethod
+    def moves(cls, quiver: Quiver, truncation: int,
+              table: Dict[int, Tuple[QQ, Dict[Word, QQ]]]) -> "Substitution":
+        """Each arrow index in ``table``, mapped to ``(scale, extra)``, goes to
+        scale*arrow + extra; every other arrow is fixed.
+
+        An image lists the arrow term first, then ``extra`` in order. Every
+        listed arrow is stored, even one whose image comes out as itself.
+        """
+        images = {}
+        for index, (scale, extra) in table.items():
+            terms = {(quiver.arrows[index].tail, (index,)): scale}
+            accumulate(terms, ONE, extra)
+            images[index] = NCElement(quiver, truncation, terms)
+        return cls(quiver, truncation, images)
 
     def image_of(self, index: int) -> NCElement:
         el = self.images.get(index)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qpcalc import monomial
 from qpcalc.a3 import (
     A3Class,
     NotOnQ,
@@ -36,6 +37,16 @@ def test_normalize_kills_junk_exactly():
     g, w = normalize(f)
     assert g == xyp(13, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert w.apply_potential(f) == g
+
+
+def test_normalize_funnel_stops_at_max_passes(monkeypatch):
+    # x y^3 funnels through x^2 y^2 into x^3 y: two removals, then a check
+    f = xyp(10, {(2, 0): 1, (1, 1): 1, (0, 2): 1, (1, 3): 1})
+    g, w = normalize(f)
+    assert g == xyp(10, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+    monkeypatch.setattr(monomial, "MAX_PASSES", 1)
+    with pytest.raises(AssertionError, match="junk of degree 4 left after 1 passes"):
+        normalize(f)
 
 
 def test_normalize_degenerate_square_keeps_one_power():

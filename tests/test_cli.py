@@ -234,10 +234,13 @@ def test_malformed_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _qp(*argv, optimize=False):
+def _qp(*argv, optimize=False, setup=""):
+    """Run qp in a fresh interpreter; ``setup`` runs first in the same process."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     flags = ["-O"] if optimize else []
-    return subprocess.run([sys.executable, *flags, "-m", "qpcalc.cli", *argv], env=env,
+    entry = (["-c", f"{setup}\nimport sys\nfrom qpcalc.cli import main\nsys.exit(main())"]
+             if setup else ["-m", "qpcalc.cli"])
+    return subprocess.run([sys.executable, *flags, *entry, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -248,6 +251,16 @@ def test_monomialize_precondition_survives_optimize(tmp_path):
     assert proc.returncode == 1, proc.stderr[-2000:]
     assert proc.stderr.startswith("qp: precondition failed: missing consecutive products")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_monomialize_pass_bound_survives_optimize(tmp_path):
+    """Under python -O the normalization loops still stop at MAX_PASSES and exit 1."""
+    path = write(tmp_path, "g.json", TYPE_A_INPUT)  # the x_1^2 x_2 term needs a funnel pass
+    proc = _qp("monomialize", "--input", path, optimize=True,
+               setup="import qpcalc.monomial as m\nm.MAX_PASSES = 1")
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr == "qp: precondition failed: junk of degree 3 left after 1 passes\n"
     assert proc.stdout == ""
 
 

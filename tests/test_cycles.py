@@ -8,10 +8,16 @@ from qpcalc.quiver import double_an
 from qpcalc.serialize import potential_from_json, potential_to_json
 
 
+def path(q, names):
+    """The word through the named arrows, in order."""
+    arrows = [q.by_name[n] for n in names]
+    return (arrows[0].tail, tuple(a.index for a in arrows))
+
+
 def test_rotations_collapse_to_one_term():
     q = double_an(3, loopless=[1, 2, 3])
-    xy = q.word_from_names(["b1", "a1", "a2", "b2"])  # x then y at vertex 2
-    yx = q.word_from_names(["a2", "b2", "b1", "a1"])  # y then x
+    xy = path(q, ["b1", "a1", "a2", "b2"])  # x then y at vertex 2
+    yx = path(q, ["a2", "b2", "b1", "a1"])  # y then x
     assert canonical_cycle(q, xy) == canonical_cycle(q, yx)
 
     f = Potential(q, 10)
@@ -32,7 +38,7 @@ def test_pair_square_derivative():
     q = double_an(3, loopless=[1, 2, 3])
     f = x_monomial(q, 12, [(2, False), (2, False)])  # (a2 b2)^2 at vertex 2
     d = f.cyclic_derivative("a2")
-    w = q.word_from_names(["b2", "a2", "b2"])
+    w = path(q, ["b2", "a2", "b2"])
     assert d.coeff(w) == QQ(2)
 
 
@@ -45,8 +51,8 @@ def test_cycle_from_slots_rejects_non_closing():
 def test_json_round_trip_is_canonical():
     q = double_an(3, loopless=[1, 2, 3])
     f = Potential(q, 9)
-    f.add_cycle(q.word_from_names(["a2", "b2", "b1", "a1"]), QQ(-3, 7))
-    f.add_cycle(q.word_from_names(["b1", "a1"]), 2)
+    f.add_cycle(path(q, ["a2", "b2", "b1", "a1"]), QQ(-3, 7))
+    f.add_cycle(path(q, ["b1", "a1"]), 2)
     blob = potential_to_json(f)
     assert blob["quiver"] == {"n": 3, "loopless": [1, 2, 3]}
     # shortest cycle first, canonical rotation spelled from the minimal arrow
@@ -58,7 +64,7 @@ def test_json_round_trip_is_canonical():
 def test_truncation_drops_long_cycles_on_entry():
     q = double_an(1)
     f = Potential(q, 3)
-    f.add_cycle(q.word_from_names(["a1", "a1", "a1"]), 5)
+    f.add_cycle(path(q, ["a1", "a1", "a1"]), 5)
     assert f.is_zero()
 
 

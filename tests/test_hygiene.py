@@ -122,3 +122,22 @@ def test_key_deletions_stay_in_their_homes():
     for path in MODULES:
         found.update(_key_deletions(ast.parse(path.read_text(), filename=str(path)), path.stem))
     assert found <= KEY_DELETERS, f"hand-written key deletions in {sorted(found - KEY_DELETERS)}"
+
+
+# the normalization drivers bound every loop by MAX_PASSES, so a step that
+# fails to shrink its junk ends in an AssertionError instead of hanging
+BOUNDED_LOOP_MODULES = ("monomial.py", "a3.py")
+
+
+def _while_true_lines(tree: ast.Module):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.While) and isinstance(node.test, ast.Constant)
+                and node.test.value is True):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("name", BOUNDED_LOOP_MODULES)
+def test_normalization_loops_are_bounded(name):
+    path = SRC / name
+    lines = list(_while_true_lines(ast.parse(path.read_text(), filename=str(path))))
+    assert not lines, f"{name} has while True loops at lines {lines}"

@@ -18,6 +18,12 @@ from qpcalc.quiver import double_an
 from qpcalc.rewrite import system_from_relations
 
 
+def path(q, names):
+    """The word through the named arrows, in order."""
+    arrows = [q.by_name[n] for n in names]
+    return (arrows[0].tail, tuple(a.index for a in arrows))
+
+
 def base_quiver():
     return double_an(3, loopless=[1, 2, 3])
 
@@ -99,7 +105,7 @@ def test_commutativity_witness_without_middle_term():
     report = vertex_commutativity(f, truncation=5)
     assert not report.commutes
     assert report.vertex == 2
-    w = q.word_from_names(["b1", "a1", "a2", "b2"])
+    w = path(q, ["b1", "a1", "a2", "b2"])
     x_then_y = report.witness.coeff(w)
     assert x_then_y != 0
 

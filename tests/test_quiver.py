@@ -1,6 +1,10 @@
-import pytest
-
 from qpcalc.quiver import double_an
+
+
+def path(q, names):
+    """The word through the named arrows, in order."""
+    arrows = [q.by_name[n] for n in names]
+    return (arrows[0].tail, tuple(a.index for a in arrows))
 
 
 def test_fully_looped_three_vertex_layout():
@@ -26,22 +30,21 @@ def test_loopless_everywhere_layout():
 
 def test_word_composition_and_weight():
     q = double_an(2)
-    w = q.word_from_names(["a2", "b2"])
+    w = path(q, ["a2", "b2"])
     assert w[0] == 1 and q.head_of(w) == 1
     assert q.weight_of(w) == 2
-    with pytest.raises(AssertionError):
-        q.word_from_names(["a2", "a2"])  # 1->2 then 1->2 does not compose
+    assert q.concat(path(q, ["a2"]), path(q, ["a2"])) is None  # 1->2 then 1->2 does not compose
 
 
 def test_x_degree_counts_follow_a_occurrences():
     q = double_an(3, loopless=[1, 2, 3])
-    w = q.word_from_names(["b1", "a1", "a2", "b2"])  # x*y based at vertex 2
+    w = path(q, ["b1", "a1", "a2", "b2"])  # x*y based at vertex 2
     assert q.x_degrees(w) == (1, 1)
 
 
 def test_mixed_loop_counts():
     q = double_an(2)  # slots: loop@1, edge(1,2), loop@2
-    w = q.word_from_names(["a1", "a1", "a2", "a3", "b2"])
+    w = path(q, ["a1", "a1", "a2", "a3", "b2"])
     assert q.x_degrees(w) == (2, 1, 1)
 
 

@@ -18,7 +18,8 @@ def two_loop_quiver():
 
 
 def word(q, names):
-    return q.word_from_names(names)
+    arrows = [q.by_name[n] for n in names]
+    return (arrows[0].tail, tuple(a.index for a in arrows))
 
 
 def test_rule_orientation_minimal_word_is_lead():

@@ -7,8 +7,14 @@ from qpcalc.quiver import Quiver, double_an
 from qpcalc.series import NCElement
 
 
+def path(q, names):
+    """The word through the named arrows, in order."""
+    arrows = [q.by_name[n] for n in names]
+    return (arrows[0].tail, tuple(a.index for a in arrows))
+
+
 def el(q, name, coeff=1, D=8):
-    return NCElement.from_word(q, D, q.word_from_names([name]), coeff)
+    return NCElement.from_word(q, D, path(q, [name]), coeff)
 
 
 def test_addition_cancels():
@@ -75,8 +81,8 @@ def test_sums_of_mixed_classes_raise():
     # a Potential keys by canonical cycles; a plain element's keys need not be
     q = double_an(2, ())
     D = 8
-    cycle = q.word_from_names(["a1", "a2", "b2"])
-    rotated = q.word_from_names(["a2", "b2", "a1"])
+    cycle = path(q, ["a1", "a2", "b2"])
+    rotated = path(q, ["a2", "b2", "a1"])
     f = Potential(q, D, {cycle: 1})
     g = NCElement(q, D, {rotated: -1})
     for left, right in ((f, g), (g, f)):
@@ -94,7 +100,7 @@ def test_relabel_identity_keeps_element_and_class():
     identity = {a.index: a.index for a in q.arrows}
     x = el(q, "a1") * el(q, "a2") + NCElement.lazy(q, D, 2)
     assert type(x.relabel(q, identity)) is NCElement and x.relabel(q, identity) == x
-    f = Potential(q, D, {q.word_from_names(["a2", "b2", "a1"]): 3, q.word_from_names(["a3"]): 1})
+    f = Potential(q, D, {path(q, ["a2", "b2", "a1"]): 3, path(q, ["a3"]): 1})
     assert type(f.relabel(q, identity)) is Potential and f.relabel(q, identity) == f
 
 
@@ -102,7 +108,7 @@ def test_relabel_drops_exactly_the_words_using_unmapped_arrows():
     q = double_an(2, ())
     D = 8
     kept = {a.index: a.index for a in q.arrows if a.name != "a3"}
-    x = NCElement(q, D, {q.word_from_names(names): k for k, names in enumerate(
+    x = NCElement(q, D, {path(q, names): k for k, names in enumerate(
         [["a1"], ["a3"], ["a2", "a3"], ["a2", "b2"], ["a1", "a2", "a3", "b2"]], start=1)})
     a3 = q.by_name["a3"].index
     assert x.relabel(q, kept).terms == {w: c for w, c in x.terms.items() if a3 not in w[1]}
@@ -116,7 +122,7 @@ def test_relabel_drops_lazy_paths_off_the_target_and_recanonicalises():
             q.by_name["b2"].index: 2, q.by_name["a3"].index: 0}
     x = NCElement(q, 8, {(1, ()): 1, (2, ()): 2})
     assert x.relabel(double_an(1, ()), {}).terms == {(1, ()): QQ(1)}
-    f = Potential(q, 8, {q.word_from_names(["a1", "a2", "a3", "b2"]): 5})
+    f = Potential(q, 8, {path(q, ["a1", "a2", "a3", "b2"]): 5})
     g = f.relabel(target, amap)
     assert type(g) is Potential
     assert all(canonical_cycle(target, w) == w for w in g.terms)

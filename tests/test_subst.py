@@ -7,18 +7,24 @@ from qpcalc.series import NCElement
 from qpcalc.subst import Substitution, compose, compose_chain
 
 
+def path(q, names):
+    """The word through the named arrows, in order."""
+    arrows = [q.by_name[n] for n in names]
+    return (arrows[0].tail, tuple(a.index for a in arrows))
+
+
 def quiver_a3():
     return double_an(3, loopless=[1, 2, 3])
 
 
 def arrow(q, D, name, coeff=1):
-    return NCElement.from_word(q, D, q.word_from_names([name]), coeff)
+    return NCElement.from_word(q, D, path(q, [name]), coeff)
 
 
 def shear(q, D, coeff=1):
     """a1 -> a1 + coeff * a1 b1 a1, everything else fixed."""
     a1 = arrow(q, D, "a1")
-    corr = NCElement.from_word(q, D, q.word_from_names(["a1", "b1", "a1"]), coeff)
+    corr = NCElement.from_word(q, D, path(q, ["a1", "b1", "a1"]), coeff)
     return Substitution(q, D, {"a1": a1 + corr})
 
 
@@ -29,9 +35,9 @@ def test_self_composition_coefficients():
     s = shear(q, 6)
     ss = compose(s, s)
     img = ss.image_of(q.by_name["a1"].index)
-    assert img.coeff(q.word_from_names(["a1"])) == QQ(1)
-    assert img.coeff(q.word_from_names(["a1", "b1", "a1"])) == QQ(2)
-    assert img.coeff(q.word_from_names(["a1", "b1", "a1", "b1", "a1"])) == QQ(2)
+    assert img.coeff(path(q, ["a1"])) == QQ(1)
+    assert img.coeff(path(q, ["a1", "b1", "a1"])) == QQ(2)
+    assert img.coeff(path(q, ["a1", "b1", "a1", "b1", "a1"])) == QQ(2)
     assert len(img.terms) == 3
 
 
@@ -56,8 +62,8 @@ def test_potential_application_collects_rotations():
     s = shear(q, D, coeff=QQ(1, 2))
     g = s.apply_potential(f)
     # x y picks up the correction (1/2) x^2 y once per a1 occurrence
-    assert g.coeff(q.word_from_names(["b1", "a1", "a2", "b2"])) == QQ(1)
-    assert g.coeff(q.word_from_names(["b1", "a1", "b1", "a1", "a2", "b2"])) == QQ(1, 2)
+    assert g.coeff(path(q, ["b1", "a1", "a2", "b2"])) == QQ(1)
+    assert g.coeff(path(q, ["b1", "a1", "b1", "a1", "a2", "b2"])) == QQ(1, 2)
     assert len(g.terms) == 2
 
 
@@ -66,7 +72,7 @@ def test_compose_against_sequential_application():
     D = 8
     s1 = shear(q, D, coeff=2)
     b1 = arrow(q, D, "b1")
-    corr = NCElement.from_word(q, D, q.word_from_names(["b1", "a1", "b1"]), QQ(1, 3))
+    corr = NCElement.from_word(q, D, path(q, ["b1", "a1", "b1"]), QQ(1, 3))
     s2 = Substitution(q, D, {"b1": b1 + corr})
     f = x_monomial(q, D, [(1, True), (1, True)])  # x^2
     once = s2.apply_potential(s1.apply_potential(f))
@@ -130,3 +136,40 @@ def test_compose_chain_matches_step_by_step_left_fold(steps):
     right = compose_chain(steps, A2, D)
     assert images_of(right) == images_of(left)
     assert sorted(right.images) == sorted(left.images)
+
+
+@st.composite
+def move_tables(draw):
+    """A doubled A_2 or A_3 quiver, a truncation, and some arrows each with a
+    nonzero scale and up to two longer words, zero coefficients included."""
+    n = draw(st.integers(2, 3))
+    q = double_an(n, sorted(draw(st.sets(st.integers(1, n)))))
+    D = draw(st.integers(2, 7))
+    coeffs = st.sampled_from([QQ(0), QQ(1), QQ(-2), QQ(3, 4)])
+    table = {}
+    for a in draw(st.lists(st.sampled_from(q.arrows), min_size=1, max_size=3, unique=True)):
+        longer = paths(q, a.tail, a.head, 2, D)
+        words = draw(st.lists(st.sampled_from(longer), max_size=2, unique=True)) if longer else []
+        scale = draw(st.sampled_from([QQ(1), QQ(-1), QQ(5, 3)]))
+        table[a.index] = (scale, {w: draw(coeffs) for w in words})
+    return q, D, table
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(move_tables())
+def test_moves_match_the_explicit_images_in_order(case):
+    q, D, table = case
+    s = Substitution.moves(q, D, table)
+    assert list(s.images) == list(table)
+    for index, (scale, extra) in table.items():
+        a = q.arrows[index]
+        explicit = NCElement.from_word(q, D, (a.tail, (index,))).scale(scale) + NCElement(q, D, extra)
+        assert list(s.images[index].terms.items()) == list(explicit.terms.items())
+
+
+def test_moves_keep_an_arrow_whose_extra_vanishes():
+    q = quiver_a3()
+    a1 = q.by_name["a1"].index
+    s = Substitution.moves(q, 8, {a1: (1, {path(q, ["a1", "b1", "a1"]): QQ(0)})})
+    assert list(s.images) == [a1]
+    assert s.images[a1].terms == {path(q, ["a1"]): QQ(1)}
