@@ -1,12 +1,13 @@
 """Potentials in two cycles x, y meeting at a vertex, and their classes.
 
-Everything here lives on the doubled 3-vertex path with no loops: two
-edge slots, x the reversed first edge pair, y the second. A potential
-containing xy splits into a base part (lowest pure powers plus xy) and a
-redundant part; the normalization driver removes the redundant part one
-degree at a time, using three one-parameter substitution families and
-``monomial``'s funnel, which trades any mixed cycle for ones with fewer y
-letters.
+Everything here lives on ``a3_quiver()``, the doubled 3-vertex path with
+no loops, in ``monomial``'s vocabulary: x is slot 1 (x_1'), y is slot 2
+(x_2), xy is the consecutive product x_1' x_2, and power tables are keyed
+(slot, power). ``normalize`` removes, one degree at a time, all but xy and
+the lowest pure powers, using three one-parameter substitution families
+and ``monomial``'s funnel. ``classify`` reads the family from the
+``extract_monomial`` table of the result; ``class_potential`` builds the
+canonical form with ``potential_from_kappa``.
 
 The endpoint is one of seven classes:
 
@@ -20,24 +21,29 @@ with flop moves between them and finite derived-equivalence orbits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .cycles import Potential, canonical_cycle
 from .field import QQ, ZERO, PreconditionError, nth_root
-from .monomial import _funnel, _junk_terms, _step, _unit_middles
+from .monomial import (_funnel, _junk_terms, _step, _unit_middles, extract_monomial,
+                       potential_from_kappa, read_terms)
 from .quiver import DoubledPathQuiver, Word, double_an
 from .series import NCElement
 from .subst import Substitution, compose, compose_chain
 
-_Q: Optional[DoubledPathQuiver] = None
 
-
+@functools.cache
 def a3_quiver() -> DoubledPathQuiver:
-    global _Q
-    if _Q is None:
-        _Q = double_an(3, (1, 2, 3))
-    return _Q
+    return double_an(3, (1, 2, 3))
+
+
+def require_a3_quiver(q) -> None:
+    """Raise PreconditionError unless ``q`` is the loopless 3-vertex doubled path."""
+    if not (isinstance(q, DoubledPathQuiver) and q.n == 3 and q.loopless == frozenset({1, 2, 3})):
+        raise PreconditionError("classification expects the loopless three-vertex doubled path")
 
 
 def x_ids(q: DoubledPathQuiver) -> Tuple[int, ...]:
@@ -55,59 +61,24 @@ def xy_word(q: DoubledPathQuiver, i: int, j: int) -> Word:
     return canonical_cycle(q, (q.right_vertex(1), ids))
 
 
-def xy_potential(trunc: int, coeffs: Dict[Tuple[int, int], QQ],
-                 quiver: Optional[DoubledPathQuiver] = None) -> Potential:
+def xy_potential(trunc: int, coeffs: Dict[Tuple[int, int], QQ]) -> Potential:
     """Potential from an (x-exponent, y-exponent) table; (1,1) is the xy term."""
-    q = quiver if quiver is not None else a3_quiver()
+    q = a3_quiver()
     f = Potential(q, trunc)
     for (i, j), c in coeffs.items():
         f.add_cycle(xy_word(q, i, j), c)
     return f
 
 
-@dataclass
-class BaseSplit:
-    kappa1: QQ
-    p: Optional[int]
-    kappa2: QQ
-    q: Optional[int]
-    residual_degrees: Tuple[int, ...]
-
-    @property
-    def det_zero(self) -> bool:
-        return (
-            self.p == 2 and self.q == 2 and 4 * self.kappa1 * self.kappa2 == 1
-        )
+def _lowest(kappa: Dict[Tuple[int, int], QQ], slot: int) -> Tuple[Optional[int], QQ]:
+    """The lowest pure power of a slot in a power table, and its coefficient."""
+    j = min((j for i, j in kappa if i == slot), default=None)
+    return j, kappa.get((slot, j), ZERO)
 
 
-def base_split(f: Potential) -> BaseSplit:
-    """Lowest pure powers of a potential with unit xy coefficient."""
-    q = f.quiver
-    pure_x: Dict[int, QQ] = {}
-    pure_y: Dict[int, QQ] = {}
-    mixed_degs = set()
-    for word, coeff in f.terms.items():
-        i, j = q.x_degrees(word)
-        if (i, j) == (1, 1):
-            assert coeff == 1, "xy coefficient must be rescaled to 1 first"
-        elif j == 0:
-            pure_x[i] = coeff
-        elif i == 0:
-            pure_y[j] = coeff
-        else:
-            mixed_degs.add(i + j)
-    p = min(pure_x) if pure_x else None
-    qq = min(pure_y) if pure_y else None
-    resid = set(mixed_degs)
-    resid.update(k for k in pure_x if k != p)
-    resid.update(k for k in pure_y if k != qq)
-    return BaseSplit(
-        kappa1=pure_x.get(p, ZERO) if p else ZERO,
-        p=p,
-        kappa2=pure_y.get(qq, ZERO) if qq else ZERO,
-        q=qq,
-        residual_degrees=tuple(sorted(resid)),
-    )
+def _higher_powers(kappa: Dict[Tuple[int, int], QQ]) -> Tuple[int, ...]:
+    """The powers in a table above their slot's lowest one, sorted, without repeats."""
+    return tuple(sorted({j for i, j in kappa if j != _lowest(kappa, i)[0]}))
 
 
 # -- the three substitution families -------------------------------------------------
@@ -147,19 +118,19 @@ def _coeff_xy(f: Potential, i: int, j: int) -> QQ:
 def normalize(f: Potential) -> Tuple[Potential, Substitution]:
     """Remove the redundant part below the truncation.
 
-    Output: the base part alone when the 2x2 coefficient matrix is
-    invertible; the base part plus at most one extra pure power mu x^s in
-    the degenerate square case. The returned substitution reproduces the
-    output from the input exactly.
+    Output: xy plus the lowest pure powers when the 2x2 coefficient matrix
+    is invertible; those plus at most one extra pure power mu x^s in the
+    degenerate square case. The returned substitution reproduces the
+    output from the input exactly. Raises PreconditionError off ``a3_quiver()``.
     """
     q = f.quiver
-    assert isinstance(q, DoubledPathQuiver) and q.m == 2
+    require_a3_quiver(q)
     D = f.truncation
     steps: List[Substitution] = []
     f = _unit_middles(f, steps)
-    split = base_split(f)
-    k1, p, k2, qq = split.kappa1, split.p, split.kappa2, split.q
-    det0 = split.det_zero
+    kappa = read_terms(f)[0]
+    (p, k1), (qq, k2) = _lowest(kappa, 1), _lowest(kappa, 2)
+    det0 = p == 2 and qq == 2 and 4 * k1 * k2 == 1
     s_star: Optional[int] = None
 
     # terms of degree d in x, y have path weight 2d
@@ -206,9 +177,10 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
                 assert _coeff_xy(f, d, 0) == 0 and _coeff_xy(f, d - 1, 1) == 0
                 assert not _junk_terms(f, d)
 
-    check = base_split(f)
+    mono = extract_monomial(f)
     expected = () if (not det0 or s_star is None) else (s_star,)
-    assert check.residual_degrees == expected, "normalization left junk"
+    if mono is None or _higher_powers(mono.kappa) != expected:
+        raise AssertionError("normalization left junk")
     return f, compose_chain(steps, q, D)
 
 
@@ -222,7 +194,6 @@ class A3Class:
     exact_normalizer: Optional[Substitution] = None
     normalizer_scale: QQ = field(default_factory=lambda: QQ(1))
     normal_form: Optional[Potential] = None
-    witness: Optional[Substitution] = None
 
     def key(self) -> Tuple:
         return (self.family, self.parameters)
@@ -271,16 +242,16 @@ def _normalizer(q, trunc, family, k1, p, k2, qq, mu, s):
 def classify(f: Potential) -> A3Class:
     """Family and parameters of a potential containing xy."""
     g, witness = normalize(f)
-    q = g.quiver
-    split = base_split(g)
-    k1, p, k2, qq = split.kappa1, split.p, split.kappa2, split.q
+    kappa = extract_monomial(g).kappa
+    (p, k1), (qq, k2) = _lowest(kappa, 1), _lowest(kappa, 2)
+    higher = _higher_powers(kappa)
     mu = s = None
     # normalize leaves at most one extra pure power, mu x^s, and only when
     # the square is degenerate
-    if split.residual_degrees:
+    if higher:
         family = 2
-        (s,) = split.residual_degrees
-        mu = _coeff_xy(g, s, 0)
+        (s,) = higher
+        mu = kappa[(1, s)]
         params: Tuple = (s,)
     elif p and qq:
         if p == 2 and qq == 2:
@@ -296,7 +267,7 @@ def classify(f: Potential) -> A3Class:
         family, params = 6, (qq,)
     else:
         family, params = 7, ()
-    normalizer, scale = _normalizer(q, g.truncation, family, k1, p, k2, qq, mu, s)
+    normalizer, scale = _normalizer(g.quiver, g.truncation, family, k1, p, k2, qq, mu, s)
     if normalizer is not None:
         normalizer = compose(witness, normalizer)
     return A3Class(
@@ -305,38 +276,32 @@ def classify(f: Potential) -> A3Class:
         exact_normalizer=normalizer,
         normalizer_scale=scale,
         normal_form=g,
-        witness=witness,
     )
 
 
 def class_potential(cls_or_key: Union[A3Class, Tuple], truncation: int) -> Potential:
-    """Canonical potential of a class, at the given truncation."""
+    """Canonical potential of a class, at the given truncation: xy plus a power table."""
     key = cls_or_key.key() if isinstance(cls_or_key, A3Class) else cls_or_key
     family, params = key
-    table: Dict[Tuple[int, int], QQ] = {(1, 1): QQ(1)}
+    table: Dict[Tuple[int, int], QQ] = {}
     if family == 1:
         (lam,) = params
-        table[(2, 0)] = QQ(1)
-        table[(0, 2)] = QQ(lam)
+        table = {(1, 2): QQ(1), (2, 2): QQ(lam)}
     elif family == 2:
         (s,) = params
-        table[(2, 0)] = QQ(1)
-        table[(0, 2)] = QQ(1, 4)
-        table[(s, 0)] = QQ(1)
+        table = {(1, 2): QQ(1), (2, 2): QQ(1, 4), (1, s): QQ(1)}
     elif family == 3:
         p, q = params
-        table[(p, 0)] = QQ(1)
-        table[(0, q)] = QQ(1)
+        table = {(1, p): QQ(1), (2, q): QQ(1)}
     elif family == 4:
-        table[(2, 0)] = QQ(1)
-        table[(0, 2)] = QQ(1, 4)
+        table = {(1, 2): QQ(1), (2, 2): QQ(1, 4)}
     elif family == 5:
         (p,) = params
-        table[(p, 0)] = QQ(1)
+        table = {(1, p): QQ(1)}
     elif family == 6:
         (q,) = params
-        table[(0, q)] = QQ(1)
-    return xy_potential(truncation, table)
+        table = {(2, q): QQ(1)}
+    return potential_from_kappa(a3_quiver(), truncation, table)
 
 
 # -- flops, orbits, enumerative sets --------------------------------------------------
@@ -478,8 +443,6 @@ def mu_orbit(mu: QQ) -> Set[QQ]:
 
 def b_level(p: int, q: int, mu: QQ) -> Optional[QQ]:
     """(-1)^q p^{-q/p} q^{-1} mu, when the fractional power is rational."""
-    from math import gcd
-
     g = gcd(p, q)
     root = nth_root(QQ(p) ** (q // g), p // g)
     if root is None:
@@ -515,15 +478,14 @@ def apq_orbit(p: int, q: int, mu: QQ) -> Dict[str, object]:
     return out
 
 
-def apq_relations(p: int, q: int, mu: QQ, truncation: int,
-                  quiver: Optional[DoubledPathQuiver] = None) -> List[NCElement]:
+def apq_relations(p: int, q: int, mu: QQ, truncation: int) -> List[NCElement]:
     """The four defining relations of the quaternion-type algebra.
 
     A deliberate oracle, like ``jdim_oracle``: no command uses it. The tests
     compare the dimension of the quotient these relations present with that
     of the Jacobi algebra of a potential in the same family.
     """
-    qv = quiver if quiver is not None else a3_quiver()
+    qv = a3_quiver()
     D = truncation
     a1, b1 = qv.a_index(1), qv.b_index(1)
     a2, b2 = qv.a_index(2), qv.b_index(2)

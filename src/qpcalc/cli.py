@@ -31,15 +31,14 @@ from .a3 import (
     derived_orbit,
     flop,
     gv_set,
+    require_a3_quiver,
     scaling,
-    xy_word,
 )
 from .appendix import appendix_checks, exactness_check
 from .cycles import Potential
-from .field import QQ, PreconditionError, rational, rational_str
+from .field import QQ, ZERO, PreconditionError, rational, rational_str
 from .jacobi import EXACT, DimensionReport, jdim
 from .monomial import monomialize, type_a_report
-from .quiver import DoubledPathQuiver
 from .serialize import (
     SchemaError,
     element_to_json,
@@ -187,14 +186,13 @@ def cmd_realize(args) -> int:
 
 def _load_two_cycle(args) -> Potential:
     f = _load_potential(args)
-    q = f.quiver
-    if not (isinstance(q, DoubledPathQuiver) and q.n == 3 and q.loopless == frozenset({1, 2, 3})):
-        raise CLIError("classification expects the loopless three-vertex doubled path")
-    crossing = f.coeff(xy_word(q, 1, 1))
+    require_a3_quiver(f.quiver)
+    # the crossing xy is the consecutive product x_1' x_2
+    crossing = type_a_report(f).middle_coeffs.get(1, ZERO)
     if crossing == 0:
         raise CLIError("classification needs a nonzero crossing term a1*b1*a2*b2")
     if crossing != 1:
-        f = scaling(q, f.truncation, 1 / crossing, QQ(1)).apply_potential(f)
+        f = scaling(f.quiver, f.truncation, 1 / crossing, QQ(1)).apply_potential(f)
     return f
 
 

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .cycles import Potential
 from .field import QQ
 from .linalg import RowSpace
-from .quiver import Quiver, Word
+from .quiver import DoubledPathQuiver, Quiver, Word
 from .series import NCElement
 from .rewrite import system_from_relations
 
@@ -121,8 +121,6 @@ class Fingerprint:
 
 def fingerprint(f: Potential, truncation: Optional[int] = None) -> Fingerprint:
     """(dim, unordered {dim after deleting vertex 1, ... vertex n})."""
-    from .quiver import DoubledPathQuiver
-
     q = f.quiver
     assert isinstance(q, DoubledPathQuiver)
     total = jdim(f, truncation).as_pair()

@@ -68,24 +68,36 @@ class TypeAReport:
         return "ReducedTypeA" if self.reduced else "TypeA"
 
 
+def read_terms(f: Potential) -> Tuple[Dict[Tuple[int, int], QQ], Dict[int, QQ], bool]:
+    """One pass over f's terms: the pure powers x_i^j keyed (slot i, power j),
+    the consecutive products x_i' x_{i+1} keyed i, and whether nothing else occurs."""
+    q = f.quiver
+    kappa: Dict[Tuple[int, int], QQ] = {}
+    middles: Dict[int, QQ] = {}
+    only = True
+    for word, coeff in f.terms.items():
+        kind, deg, lo, _hi = term_shape(q, word)
+        if kind == "middle":
+            middles[lo] = coeff
+        elif kind == "power":
+            kappa[(lo, deg)] = coeff
+        else:
+            only = False
+    return kappa, middles, only
+
+
 def type_a_report(f: Potential) -> TypeAReport:
     q = f.quiver
     assert isinstance(q, DoubledPathQuiver)
-    middles: Dict[int, QQ] = {}
-    loop_squares = []
-    for word, coeff in f.terms.items():
-        kind, deg, lo, hi = term_shape(q, word)
-        if kind == "middle":
-            middles[lo] = coeff
-        elif kind == "power" and deg == 2 and q.is_loop(lo):
-            loop_squares.append(lo)
+    kappa, middles, _ = read_terms(f)
+    loop_squares = tuple(sorted(i for i, j in kappa if j == 2 and q.is_loop(i)))
     missing = tuple(i for i in range(1, q.m) if middles.get(i, ZERO) == 0)
     return TypeAReport(
         is_type_a=not missing,
         reduced=not loop_squares,
         middle_coeffs=middles,
         missing_middles=missing,
-        loop_squares=tuple(sorted(loop_squares)),
+        loop_squares=loop_squares,
     )
 
 
@@ -103,18 +115,8 @@ class MonomialReport:
 
 def extract_monomial(f: Potential) -> Optional[MonomialReport]:
     """Kappa table when f is monomial Type A with unit consecutive products."""
-    q = f.quiver
-    kappa: Dict[Tuple[int, int], QQ] = {}
-    middles: Dict[int, QQ] = {}
-    for word, coeff in f.terms.items():
-        kind, deg, lo, hi = term_shape(q, word)
-        if kind == "middle":
-            middles[lo] = coeff
-        elif kind == "power":
-            kappa[(lo, deg)] = coeff
-        else:
-            return None
-    if any(middles.get(i, ZERO) != 1 for i in range(1, q.m)):
+    kappa, middles, only = read_terms(f)
+    if not only or any(middles.get(i, ZERO) != 1 for i in range(1, f.quiver.m)):
         return None
     return MonomialReport(kappa, f.truncation)
 

@@ -1,5 +1,10 @@
 """Two-cycle potential calculus: normal forms, classes, flops, orbits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qpcalc import monomial
@@ -17,12 +22,17 @@ from qpcalc.a3 import (
     lambda_orbit,
     mu_orbit,
     normalize,
+    swap_class,
     xy_potential,
     xy_word,
 )
-from qpcalc.field import QQ
+from qpcalc.field import QQ, PreconditionError
 from qpcalc.jacobi import jacobi_relations, jdim_oracle
+from qpcalc.monomial import potential_from_kappa
+from qpcalc.quiver import double_an
 from qpcalc.series import NCElement
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def xyp(trunc, table):
@@ -216,3 +226,53 @@ def test_quaternion_type_dimension_matches_potential_model():
     assert jdim_oracle(q, jacobi_relations(f), 12) == 20
 
 
+@pytest.mark.parametrize("family, table", [
+    (1, {(2, 0): 1, (1, 1): 1, (0, 2): 3}),
+    (3, {(3, 0): 1, (1, 1): 1, (0, 5): 2}),
+    (5, {(4, 0): -2, (1, 1): 1, (2, 1): 1}),
+    (6, {(1, 1): 1, (0, 3): 5, (1, 2): 1}),
+])
+def test_swapping_x_and_y_swaps_the_class(family, table):
+    swapped = {(j, i): c for (i, j), c in table.items()}
+    cls, swapped_cls = classify(xyp(13, table)), classify(xyp(13, swapped))
+    assert cls.family == family
+    assert swapped_cls.key() == swap_class(cls).key()
+
+
+def test_class_potential_is_the_monomial_table():
+    # x is slot 1 and y slot 2, so the canonical form is a power table
+    assert class_potential((2, (5,)), 12) == potential_from_kappa(
+        a3_quiver(), 12, {(1, 2): QQ(1), (2, 2): QQ(1, 4), (1, 5): QQ(1)})
+    assert class_potential((7, ()), 12) == xyp(12, {(1, 1): 1})
+
+
+def test_classify_rejects_another_quiver():
+    # x^2 + xy + y^3 on the 2-vertex doubled path with a loop at vertex 2:
+    # x is the edge 2-cycle x_1' and y the loop, not a two-cycle potential
+    f = potential_from_kappa(double_an(2, loopless=[1]), 12, {(1, 2): QQ(1), (2, 3): QQ(1)})
+    for step in (classify, normalize):
+        with pytest.raises(PreconditionError, match="loopless three-vertex doubled path"):
+            step(f)
+
+
+OFF_QUIVER_SCRIPT = """
+from qpcalc.a3 import classify
+from qpcalc.field import QQ, PreconditionError
+from qpcalc.monomial import potential_from_kappa
+from qpcalc.quiver import double_an
+f = potential_from_kappa(double_an(2, loopless=[1]), 12, {(1, 2): QQ(1), (2, 3): QQ(1)})
+try:
+    print(classify(f))
+except PreconditionError as exc:
+    print("PreconditionError:", exc)
+"""
+
+
+def test_classify_quiver_check_survives_optimize():
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", OFF_QUIVER_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == ("PreconditionError: classification expects the loopless "
+                               "three-vertex doubled path\n")

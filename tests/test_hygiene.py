@@ -141,3 +141,18 @@ def test_normalization_loops_are_bounded(name):
     path = SRC / name
     lines = list(_while_true_lines(ast.parse(path.read_text(), filename=str(path))))
     assert not lines, f"{name} has while True loops at lines {lines}"
+
+
+def _function_imports(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    yield f"{node.name}:{inner.lineno}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    # an import inside a function hides a dependency and repeats a lookup per call
+    found = sorted(set(_function_imports(ast.parse(path.read_text(), filename=str(path)))))
+    assert not found, f"{path.name} imports inside functions at {found}"
