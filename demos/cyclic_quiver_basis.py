@@ -14,6 +14,9 @@ from qpcalc import appendix_checks, appendix_quiver, exactness_check
 n = 2
 D = 10
 
+q = appendix_quiver(n)
+print(f"cyclic quiver: {len(q.vertices)} vertices, {len(q.arrows)} arrows")
+
 checks = appendix_checks(n, D)
 print("overlap ambiguities:", checks["overlaps"]["count"],
       "all resolvable:", checks["overlaps"]["pass"])

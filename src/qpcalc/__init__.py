@@ -25,7 +25,6 @@ from .monomial import (
     extract_monomial,
     monomialize,
     potential_from_kappa,
-    rescale_middle,
     type_a_report,
 )
 from .a3 import (
@@ -82,7 +81,6 @@ __all__ = [
     "extract_monomial",
     "monomialize",
     "potential_from_kappa",
-    "rescale_middle",
     "type_a_report",
     "a3_realize",
     "contraction_relations",

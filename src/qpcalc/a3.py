@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .cycles import Potential, canonical_cycle
 from .field import QQ, ZERO, PreconditionError, nth_root
-from .monomial import (_funnel, _junk_terms, _step, _unit_middles, extract_monomial,
-                       potential_from_kappa, read_terms)
+from .monomial import (_funnel, _step, _unit_middles, extract_monomial, potential_from_kappa,
+                       read_terms)
 from .quiver import DoubledPathQuiver, Word, double_an
 from .series import NCElement
 from .subst import Substitution, compose, compose_chain
@@ -115,6 +115,11 @@ def _coeff_xy(f: Potential, i: int, j: int) -> QQ:
     return f.coeff(xy_word(f.quiver, i, j))
 
 
+def _junk_of_degree(f: Potential, d: int) -> bool:
+    """Whether ``read_terms`` finds junk of degree d in f."""
+    return any(shape[1] == d for _word, _coeff, shape in read_terms(f)[2])
+
+
 def normalize(f: Potential) -> Tuple[Potential, Substitution]:
     """Remove the redundant part below the truncation.
 
@@ -160,7 +165,7 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
                 lam2 = beta / det
                 f = _step(f, phi12(q, D, d - 2, lam1, lam2), steps)
                 assert _coeff_xy(f, d - 1, 1) == 0
-            assert not _junk_terms(f, d)
+            assert not _junk_of_degree(f, d)
         else:
             mu_d = _coeff_xy(f, d, 0)
             if s_star is None:
@@ -175,7 +180,7 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
                 lam1 = -beta / (s_star * mu_s)
                 f = _step(f, phi12(q, D, d - s_star, lam1, -2 * k1 * lam1), steps)
                 assert _coeff_xy(f, d, 0) == 0 and _coeff_xy(f, d - 1, 1) == 0
-                assert not _junk_terms(f, d)
+                assert not _junk_of_degree(f, d)
 
     mono = extract_monomial(f)
     expected = () if (not det0 or s_star is None) else (s_star,)
@@ -371,18 +376,23 @@ def swap_class(cls: A3Class) -> A3Class:
     return A3Class(family, params)
 
 
+def _require_finite_lambda(lam: QQ) -> None:
+    if lam == 0 or 4 * lam == 1:
+        raise PreconditionError("lambda must be neither 0 nor 1/4")
+
+
 def derived_orbit(cls: A3Class) -> Tuple[List[A3Class], int]:
     """Closure under flops at all three curves and the x<->y relabeling.
 
     Only the finite-dimensional families (1 with lam not in {0, 1/4}, 2, 3)
-    are in scope. Returns the on-quiver members and the number of flop legs
-    that left the quiver.
+    are in scope; any other class raises PreconditionError. Returns the
+    on-quiver members and the number of flop legs that left the quiver.
     """
     family, params = cls.key()
-    assert family in (1, 2, 3), "orbit is defined for the finite-dimensional families"
+    if family not in (1, 2, 3):
+        raise PreconditionError("orbit is defined for the finite-dimensional families")
     if family == 1:
-        (lam,) = params
-        assert lam != 0 and 4 * lam != 1
+        _require_finite_lambda(params[0])
     seen: Set[Tuple] = set()
     frontier = [A3Class(family, params)]
     off_legs = 0
@@ -407,8 +417,9 @@ def derived_orbit(cls: A3Class) -> Tuple[List[A3Class], int]:
 
 
 def lambda_orbit(lam: QQ) -> Set[QQ]:
-    """The six values reachable from lam under the two flop generators."""
-    assert lam != 0 and 4 * lam != 1
+    """The six values reachable from lam under the two flop generators;
+    PreconditionError when lam is 0 or 1/4."""
+    _require_finite_lambda(lam)
     return {
         lam,
         (1 - 4 * lam) / 4,

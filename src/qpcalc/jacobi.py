@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cycles import Potential
-from .field import QQ
+from .field import QQ, PreconditionError
 from .linalg import RowSpace
 from .quiver import DoubledPathQuiver, Quiver, Word
 from .series import NCElement
@@ -40,9 +40,11 @@ def jacobi_relations(f: Potential) -> List[NCElement]:
 def delete_vertices(quiver: Quiver, relations: Iterable[NCElement], removed: Sequence[int]
                     ) -> Tuple[Quiver, List[NCElement]]:
     """Quotient by the idempotents of ``removed``: drop the vertices, their
-    arrows, and every relation term whose path touches them."""
+    arrows, and every relation term whose path touches them. Raises
+    PreconditionError when a removed vertex is not in the quiver."""
     removed_set = set(removed)
-    assert removed_set <= set(quiver.vertices)
+    if not removed_set <= set(quiver.vertices):
+        raise PreconditionError(f"no vertices {sorted(removed_set - set(quiver.vertices))} to delete")
     kept_vertices = [v for v in quiver.vertices if v not in removed_set]
     id_map: Dict[int, int] = {}
     specs = []
@@ -196,27 +198,31 @@ class CommutativityReport:
     pair: Optional[Tuple[Word, Word]] = None
 
 
-def vertex_commutativity(f: Potential, truncation: Optional[int] = None,
-                         generation_degree: int = 6) -> CommutativityReport:
+# the weight below which vertex_commutativity takes its generating cycles
+GENERATION_DEGREE = 6
+
+
+def vertex_commutativity(f: Potential, truncation: Optional[int] = None) -> CommutativityReport:
     """Check each vertex subalgebra e_v Jac(f) e_v is commutative mod m^D.
 
-    Generators: irreducible cycles at the vertex up to the generation
-    degree. The first nonvanishing commutator is returned as a witness.
+    Generators: irreducible cycles at the vertex of weight 1 to
+    GENERATION_DEGREE (6), listed through ``irreducible_table`` with the
+    arrow ids as caller state. The first nonvanishing commutator is
+    returned as a witness.
     """
     truncation = truncation or f.truncation
+    q = f.quiver
     relations = jacobi_relations(f.truncate(truncation))
-    system = system_from_relations(f.quiver, truncation, relations)
-    for v in f.quiver.vertices:
-        cycles = [
-            w
-            for w, weight in system.iter_irreducible(min(generation_degree + 1, truncation), tails=[v])
-            if weight >= 1 and f.quiver.head_of(w) == v
-        ]
-        cycles.sort(key=system.key)
+    system = system_from_relations(q, truncation, relations)
+    table = system.irreducible_table(min(GENERATION_DEGREE + 1, truncation), (),
+                                     lambda ids, a: ids + (a,))
+    for v in q.vertices:
+        cycles = sorted(((v, ids) for head, _weight, ids in table
+                         if ids and head == v and q.arrows[ids[0]].tail == v), key=system.key)
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
-                c1 = NCElement.from_word(f.quiver, truncation, cycles[i])
-                c2 = NCElement.from_word(f.quiver, truncation, cycles[j])
+                c1 = NCElement.from_word(q, truncation, cycles[i])
+                c2 = NCElement.from_word(q, truncation, cycles[j])
                 comm = system.reduce(c1 * c2 - c2 * c1)
                 if not comm.is_zero():
                     return CommutativityReport(False, v, comm, (cycles[i], cycles[j]))

@@ -5,6 +5,11 @@ appears with a nonzero coefficient; it is *reduced* when no loop square
 x_s^2 is present, and *monomial* when, apart from those consecutive
 products (all with coefficient 1), only pure powers x_i^j remain.
 
+``read_terms`` is the one reader of a potential's terms. It sorts each
+term into pure powers (the kappa table), consecutive products, or junk:
+every other term, the ones a monomial potential lacks. Junk comes with
+its shape, so the steps below read the slots they act on from it.
+
 The pipeline:
 
 1. ``_unit_middles``: rescale the a-arrows so all consecutive products
@@ -37,20 +42,27 @@ MAX_PASSES = 20000
 # -- term taxonomy ---------------------------------------------------------------
 
 
-def term_shape(q: DoubledPathQuiver, word: Word) -> Tuple[str, int, int, int]:
-    """(kind, degree, lo, hi) where kind is power|middle|skip|other."""
+# (kind, degree, lo, hi, top), see term_shape
+Shape = Tuple[str, int, int, int, int]
+
+
+def term_shape(q: DoubledPathQuiver, word: Word) -> Shape:
+    """(kind, degree, lo, hi, top) where kind is power|middle|skip|other, lo
+    and hi are the lowest and highest slots the cycle touches, and top is
+    its multiplicity at hi."""
     t = q.x_degrees(word)
     support = [i + 1 for i, c in enumerate(t) if c]
     assert support, "cycle uses no x-letters"
     deg = sum(t)
     lo, hi = support[0], support[-1]
+    top = t[hi - 1]
     if lo == hi:
-        return ("power", deg, lo, hi)
+        return ("power", deg, lo, hi, top)
     if deg == 2 and hi == lo + 1:
-        return ("middle", deg, lo, hi)
+        return ("middle", deg, lo, hi, top)
     if deg == 2 and hi == lo + 2 and q.is_loop(lo + 1) and t[lo] == 0:
-        return ("skip", deg, lo, hi)
-    return ("other", deg, lo, hi)
+        return ("skip", deg, lo, hi, top)
+    return ("other", deg, lo, hi, top)
 
 
 @dataclass
@@ -68,22 +80,31 @@ class TypeAReport:
         return "ReducedTypeA" if self.reduced else "TypeA"
 
 
-def read_terms(f: Potential) -> Tuple[Dict[Tuple[int, int], QQ], Dict[int, QQ], bool]:
+def read_terms(f: Potential) -> Tuple[Dict[Tuple[int, int], QQ], Dict[int, QQ],
+                                      List[Tuple[Word, QQ, Shape]]]:
     """One pass over f's terms: the pure powers x_i^j keyed (slot i, power j),
-    the consecutive products x_i' x_{i+1} keyed i, and whether nothing else occurs."""
+    the consecutive products x_i' x_{i+1} keyed i, and the junk, every other
+    term as (word, coeff, ``term_shape``) in term order.
+
+    Junk of degree 2 is a skip: a cycle touching slots lo < hi crosses
+    every edge slot between them, at an a-letter each, so at x-degree 2
+    the slots between are untouched loops, and no two loop slots are
+    adjacent. Every other junk term has degree at least 3.
+    """
     q = f.quiver
     kappa: Dict[Tuple[int, int], QQ] = {}
     middles: Dict[int, QQ] = {}
-    only = True
+    junk: List[Tuple[Word, QQ, Shape]] = []
     for word, coeff in f.terms.items():
-        kind, deg, lo, _hi = term_shape(q, word)
+        shape = term_shape(q, word)
+        kind, deg, lo = shape[:3]
         if kind == "middle":
             middles[lo] = coeff
         elif kind == "power":
             kappa[(lo, deg)] = coeff
         else:
-            only = False
-    return kappa, middles, only
+            junk.append((word, coeff, shape))
+    return kappa, middles, junk
 
 
 def type_a_report(f: Potential) -> TypeAReport:
@@ -115,8 +136,8 @@ class MonomialReport:
 
 def extract_monomial(f: Potential) -> Optional[MonomialReport]:
     """Kappa table when f is monomial Type A with unit consecutive products."""
-    kappa, middles, only = read_terms(f)
-    if not only or any(middles.get(i, ZERO) != 1 for i in range(1, f.quiver.m)):
+    kappa, middles, junk = read_terms(f)
+    if junk or any(middles.get(i, ZERO) != 1 for i in range(1, f.quiver.m)):
         return None
     return MonomialReport(kappa, f.truncation)
 
@@ -134,36 +155,20 @@ def potential_from_kappa(q: DoubledPathQuiver, truncation: int,
     return f
 
 
-# -- step 1: unit consecutive products ----------------------------------------------
-
-
-def rescale_middle(f: Potential) -> Tuple[Potential, Substitution]:
-    """a_i -> k_i a_i with k_1 = 1 and k_{i+1} = 1/(k_i * lambda_i)."""
-    q = f.quiver
-    report = type_a_report(f)
-    assert report.is_type_a, "every consecutive product must be present"
-    k = [QQ(1)]
-    for i in range(1, q.m):
-        k.append(1 / (k[-1] * report.middle_coeffs[i]))
-    sub = Substitution.moves(q, f.truncation, {q.a_index(i): (k[i - 1], {})
-                                               for i in range(1, q.m + 1) if k[i - 1] != 1})
-    return sub.apply_potential(f), sub
-
-
 # -- step 2/3: removal substitutions ----------------------------------------------
 
 
-def _skip_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
-    """Kill coeff * x_{s-1}' x_{s+1} via a_s -> a_s - coeff * x_{s-1}'."""
+def _skip_substitution(f: Potential, coeff: QQ, shape: Shape) -> Substitution:
+    """Kill coeff * x_{s-1}' x_{s+1}, of the given shape, via a_s -> a_s - coeff * x_{s-1}'."""
     q = f.quiver
-    _, _, lo, hi = term_shape(q, word)
-    s = lo + 1
+    s = shape[2] + 1
     assert q.is_loop(s)
     return Substitution.moves(q, f.truncation, {q.a_index(s): (1, {q.xprime_word(s - 1): -coeff})})
 
 
-def _higher_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
-    """One removal pass for a cycle touching at least two slots, degree >= 3.
+def _higher_substitution(f: Potential, word: Word, coeff: QQ, shape: Shape) -> Substitution:
+    """One removal pass for a cycle of the given shape touching at least two
+    slots, degree >= 3.
 
     With r the cycle's top slot and s = r - 1, rotate so one full x_r
     block sits at the end; the replacement a_s -> a_s - coeff * (context)
@@ -171,7 +176,7 @@ def _higher_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
     only creates cycles with strictly smaller top-slot data.
     """
     q = f.quiver
-    _, deg, lo, hi = term_shape(q, word)
+    _, deg, lo, hi, _top = shape
     assert deg >= 3 and hi > lo
     s = hi - 1
     a_s, b_s = q.a_index(s), q.b_index(s)
@@ -199,21 +204,6 @@ def _higher_substitution(f: Potential, word: Word, coeff: QQ) -> Substitution:
     return Substitution.moves(q, f.truncation, {a_s: (1, {(q.left_vertex(s), context): -coeff})})
 
 
-def _junk_terms(f: Potential, degree: Optional[int] = None) -> List[Tuple[Word, QQ, Tuple[int, int]]]:
-    """Cycles that keep f from being monomial: skips at degree 2, every
-    multi-slot cycle at degree >= 3. Returns (word, coeff, (top slot, top count))."""
-    q = f.quiver
-    out = []
-    for word, coeff in f.terms.items():
-        kind, deg, lo, hi = term_shape(q, word)
-        if degree is not None and deg != degree:
-            continue
-        if kind == "skip" or (kind == "other" and deg >= 3):
-            t = q.x_degrees(word)
-            out.append((word, coeff, (hi, t[hi - 1])))
-    return out
-
-
 def monomialize(f: Potential) -> Tuple[Potential, MonomialReport, Substitution]:
     """Transform a reduced Type A potential to monomial form below its truncation.
 
@@ -239,40 +229,48 @@ def _step(f: Potential, sub: Substitution, steps: List[Substitution]) -> Potenti
 
 
 def _unit_middles(f: Potential, steps: List[Substitution]) -> Potential:
-    """Step 1, recorded: rescale so every consecutive product carries coefficient 1."""
-    report = type_a_report(f)
-    assert report.is_type_a, "every consecutive product must be present"
-    if any(c != 1 for c in report.middle_coeffs.values()):
-        f, sub = rescale_middle(f)
-        steps.append(sub)
-    return f
+    """Step 1, recorded: a_i -> k_i a_i with k_1 = 1 and k_{i+1} = 1/(k_i * lambda_i),
+    where lambda_i is the coefficient of x_i' x_{i+1}, so every consecutive
+    product carries coefficient 1. PreconditionError when one is missing."""
+    q = f.quiver
+    middles = read_terms(f)[1]
+    missing = tuple(i for i in range(1, q.m) if i not in middles)
+    if missing:
+        raise PreconditionError(f"missing consecutive products at {missing}")
+    if all(c == 1 for c in middles.values()):
+        return f
+    k = [QQ(1)]
+    for i in range(1, q.m):
+        k.append(1 / (k[-1] * middles[i]))
+    sub = Substitution.moves(q, f.truncation, {q.a_index(i): (k[i - 1], {})
+                                               for i in range(1, q.m + 1) if k[i - 1] != 1})
+    return _step(f, sub, steps)
 
 
 def _funnel(f: Potential, degree: int, steps: List[Substitution], min_top: int = 1) -> Potential:
     """Remove the junk of one ``degree`` >= 3 whose top slot count is at least
     ``min_top``, recording each step, the largest ((top slot, top count), ids) first."""
     for _ in range(MAX_PASSES):
-        junk = [item for item in _junk_terms(f, degree) if item[2][1] >= min_top]
+        junk = [item for item in read_terms(f)[2] if item[2][1] == degree and item[2][4] >= min_top]
         if not junk:
             return f
-        word, coeff, _measure = max(junk, key=lambda it: (it[2], it[0][1]))
-        f = _step(f, _higher_substitution(f, word, coeff), steps)
+        word, coeff, shape = max(junk, key=lambda it: (it[2][3:], it[0][1]))
+        f = _step(f, _higher_substitution(f, word, coeff, shape), steps)
     raise AssertionError(f"junk of degree {degree} left after {MAX_PASSES} passes")
 
 
 def _monomialize_core(f: Potential) -> Tuple[Potential, List[Substitution]]:
-    q = f.quiver
     steps: List[Substitution] = []
     f = _unit_middles(f, steps)
 
     # degree 2: kill loop-jumping products, then repair any drift the kill
     # causes to consecutive products when loop squares are around
     for _ in range(MAX_PASSES):
-        skips = _junk_terms(f, degree=2)
-        if not skips:
+        skip = next((item for item in read_terms(f)[2] if item[2][1] == 2), None)
+        if skip is None:
             break
-        word, coeff, _ = skips[0]
-        f = _step(f, _skip_substitution(f, word, coeff), steps)
+        _word, coeff, shape = skip
+        f = _step(f, _skip_substitution(f, coeff, shape), steps)
     else:
         raise AssertionError(f"skips left after {MAX_PASSES} passes")
     f = _unit_middles(f, steps)
@@ -282,12 +280,9 @@ def _monomialize_core(f: Potential) -> Tuple[Potential, List[Substitution]]:
     d = 3
     while d < f.truncation:
         f = _funnel(f, d, steps)
-        # the lowest degree with junk left. Junk of degree 2 can only be a
-        # skip: a cycle touching slots lo < hi crosses every edge slot between
-        # them, at an a-letter each, so at x-degree 2 the slots between are
-        # untouched loops, and no two loop slots are adjacent. Hence no
-        # "other" cycle has degree 2: the junk is every skip and other term.
-        d = min((sum(q.x_degrees(w)) for w, _, _ in _junk_terms(f)), default=f.truncation)
+        # the lowest degree with junk left: at least 3, since no step above
+        # degree 2 makes a term of degree 2, and junk of degree 2 is a skip
+        d = min((shape[1] for _w, _c, shape in read_terms(f)[2]), default=f.truncation)
     return f, steps
 
 

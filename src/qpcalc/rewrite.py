@@ -27,19 +27,27 @@ arrow id to child; a lead ends at an int, its rule id. Since no lead is
 a prefix of another, a node is either a leaf or a dict, and a walk from
 one position stops at the only lead that can match there.
 ``_find_redex`` walks it afresh from each position of a word.
-``iter_irreducible`` grows words one arrow at a time and carries, with
-each word, the trie nodes its suffixes have reached (the root among
-them), so the one new check per extension, whether a lead ends at the
-new arrow, is one step from each carried node (``_advance``).
 
-``irreducible_table`` counts the same words without building one. Words
-that end at the same vertex with the same carried nodes extend alike, so
-it runs weight by weight over those states, interned, with their word
-counts: the Ufnarovski graph of the lead set (V. A. Ufnarovskii, Math.
-Notes 31, 1982). A caller may run its own automaton alongside and read
-the counts by (head, weight, caller state); ``irreducible_counts`` uses
-none, and the cyclic-quiver basis check runs one for the basis shape.
-Its cost follows the number of states, not the number of words.
+Irreducible words have one walker, ``irreducible_table``. It grows words
+one arrow at a time and carries, with each word, the trie nodes its
+suffixes have reached (the root among them), so the one new check per
+extension, whether a lead ends at the new arrow, is one step from each
+carried node (``_advance``). Every proper prefix of an irreducible word
+is irreducible, so no other check is needed. Words that end at the same
+vertex with the same carried nodes extend alike, so the walk runs weight
+by weight over those states, interned, with their word counts: the
+Ufnarovski graph of the lead set (V. A. Ufnarovskii, Math. Notes 31,
+1982). A caller may run its own automaton alongside and read the counts
+by (head, weight, caller state); ``irreducible_counts`` uses none, and
+the cyclic-quiver basis check runs one for the basis shape. Its cost
+follows the number of states, not the number of words.
+
+A caller who needs the words themselves lists them through the ids
+state: with ``start=()`` and ``step=lambda ids, a: ids + (a,)`` the
+caller state is the word's arrow ids, so each word is its own key,
+counted once, and its tail is ``arrows[ids[0]].tail`` (a lazy path has
+ids () and sits at its head). ``jacobi.vertex_commutativity`` takes its
+cycles so.
 
 A rewrite step never merges two words, so ``_rewrite_once`` stores each
 new word without summing. No tail word is lazy: arrows weigh at least 1,
@@ -336,31 +344,6 @@ class ReductionSystem:
 
     # -- irreducible words ------------------------------------------------------------
 
-    def iter_irreducible(self, max_weight: int, tails: Optional[Iterable[int]] = None):
-        """All rule-irreducible words of weight < max_weight (DFS extension).
-
-        Every proper prefix of an irreducible word is irreducible, so only
-        leads ending at the new arrow need checking as words grow. Each
-        stack entry carries the trie nodes reached by its word's suffixes
-        (the empty one reaches the root); ``_advance`` steps them.
-        """
-        quiver = self.quiver
-        start_vertices = tuple(tails) if tails is not None else quiver.vertices
-        arrows_by_tail = quiver.arrows_by_tail
-        trie = self._trie
-        stack = [((v, ()), 0, v, (trie,)) for v in start_vertices]
-        while stack:
-            word, weight, at, nodes = stack.pop()
-            yield word, weight
-            for arrow in arrows_by_tail[at]:
-                w2 = weight + arrow.weight
-                if w2 >= max_weight:
-                    continue
-                a = arrow.index
-                reached = _advance(trie, nodes, a)
-                if reached is not None:
-                    stack.append(((word[0], word[1] + (a,)), w2, arrow.head, reached))
-
     def irreducible_table(self, max_weight: int, start: Hashable = None,
                           step: Optional[Callable[[Hashable, int], Hashable]] = None
                           ) -> Dict[Tuple[int, int, Hashable], int]:
@@ -368,16 +351,15 @@ class ReductionSystem:
 
         The caller's automaton starts every word, the lazy paths included,
         in ``start`` and reads its arrow ids through ``step``; without one
-        every word stays in ``start``. The words are those
-        ``iter_irreducible`` lists, but none is built: the count runs
+        every word stays in ``start``. No word is built: the count runs
         weight by weight over pairs of a state and a caller state. A state
-        is a vertex with the tuple of trie nodes ``iter_irreducible``
-        carries. It is interned by the identity of its last node, the
-        deepest, which fixes the others: they are the nodes of the shorter
-        suffixes, and each of those is a suffix of the deepest one's. The
-        pair decides which extensions stay irreducible and what the caller
-        sees next, so words that agree on it are counted together. Arrows
-        must weigh at least 1.
+        is a vertex with the tuple of trie nodes the word's suffixes reach
+        (module docstring). It is interned by the identity of its last
+        node, the deepest, which fixes the others: they are the nodes of
+        the shorter suffixes, and each of those is a suffix of the deepest
+        one's. The pair decides which extensions stay irreducible and what
+        the caller sees next, so words that agree on it are counted
+        together. Arrows must weigh at least 1.
         """
         vertices = self.quiver.vertices
         arrows_by_tail = self.quiver.arrows_by_tail

@@ -11,7 +11,7 @@ chain, each listed arrow a going to scale*a plus higher terms.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from .field import ONE, QQ
 from .linalg import accumulate, combine, rank_of
@@ -23,13 +23,14 @@ from .cycles import Potential
 class Substitution:
     __slots__ = ("quiver", "truncation", "images")
 
-    def __init__(self, quiver: Quiver, truncation: int, images: Optional[Dict[Union[str, int], NCElement]] = None):
+    def __init__(self, quiver: Quiver, truncation: int, images: Optional[Dict[int, NCElement]] = None):
+        """``images`` maps arrow indices to their images; every other arrow is fixed."""
         self.quiver = quiver
         self.truncation = truncation
         self.images: Dict[int, NCElement] = {}
         if images:
-            for key, el in images.items():
-                a = quiver.by_name[key] if isinstance(key, str) else quiver.arrows[key]
+            for index, el in images.items():
+                a = quiver.arrows[index]
                 assert el.quiver is quiver and el.truncation == truncation
                 for word in el.terms:
                     assert word[0] == a.tail and quiver.head_of(word) == a.head, (

@@ -1,6 +1,7 @@
 """Two-cycle potential calculus: normal forms, classes, flops, orbits."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,7 +190,7 @@ def test_derived_orbits():
     assert {m.key() for m in members} == {(3, (3, 5)), (3, (5, 3))}
     assert off > 0
 
-    with pytest.raises(AssertionError):
+    with pytest.raises(PreconditionError, match="finite-dimensional families"):
         derived_orbit(A3Class(5, (3,)))
 
 
@@ -276,3 +277,49 @@ def test_classify_quiver_check_survives_optimize():
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout == ("PreconditionError: classification expects the loopless "
                                "three-vertex doubled path\n")
+
+
+# inputs outside what the two-cycle layer accepts, with the PreconditionError
+# message each must raise, with or without -O
+A3_PRECONDITIONS = {
+    "lambda_orbit-quarter": ("lambda_orbit(QQ(1, 4))", "lambda must be neither 0 nor 1/4"),
+    "lambda_orbit-zero": ("lambda_orbit(QQ(0))", "lambda must be neither 0 nor 1/4"),
+    "derived_orbit-quarter": ("derived_orbit(A3Class(1, (QQ(1, 4),)))",
+                              "lambda must be neither 0 nor 1/4"),
+    "derived_orbit-family-5": ("derived_orbit(A3Class(5, (3,)))",
+                               "orbit is defined for the finite-dimensional families"),
+    "classify-without-crossing": ("classify(xy_potential(12, {(2, 0): QQ(1), (0, 3): QQ(1)}))",
+                                  "missing consecutive products at (1,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(A3_PRECONDITIONS))
+def test_a3_preconditions_raise(case):
+    call, message = A3_PRECONDITIONS[case]
+    namespace = {"A3Class": A3Class, "QQ": QQ, "classify": classify, "derived_orbit": derived_orbit,
+                 "lambda_orbit": lambda_orbit, "xy_potential": xy_potential}
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        eval(call, namespace)
+
+
+A3_SCRIPT = """
+import sys
+from qpcalc.a3 import A3Class, classify, derived_orbit, lambda_orbit, xy_potential
+from qpcalc.field import QQ, PreconditionError
+try:
+    print(eval(sys.argv[1]))
+except PreconditionError as exc:
+    print("PreconditionError:", exc)
+"""
+
+
+@pytest.mark.parametrize("case", sorted(A3_PRECONDITIONS))
+def test_a3_preconditions_survive_optimize(case):
+    # under -O an assert would let 1/4 reach a division by 1 - 4 lam, and a
+    # potential without xy reach the end of normalize
+    call, message = A3_PRECONDITIONS[case]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-O", "-c", A3_SCRIPT, call], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == f"PreconditionError: {message}\n"

@@ -151,13 +151,16 @@ def test_streamed_basis_witnesses_match_set_comparison(monkeypatch, breaking):
     report = appendix_checks(n, D)
     assert not report["basis"]["pass"]
 
-    # the set comparison the streamed tallies replace
+    # the set comparison the streamed tallies replace, on the brute-force
+    # irreducible words (22,143 paths lie below weight D + 1)
+    monkeypatch.setenv("QP_MAX_PATHS", "30000")
     system = appendix_system(n, D + 3)
     system.complete()
     q = system.quiver
     found = {}
-    for word, weight in system.iter_irreducible(D + 1):
-        found.setdefault((q.head_of(word), weight), set()).add(word)
+    for word in all_paths(q, D + 1):
+        if system._find_redex(word) is None:
+            found.setdefault((q.head_of(word), q.weight_of(word)), set()).add(word)
     witnesses = []
     for head in range(n + 1):
         for weight in range(D + 1):
@@ -179,10 +182,11 @@ def test_euler_counts():
 
 def test_expected_count_matches_engine_for_n3():
     system = appendix_system(3, 8)
+    q = system.quiver
     counts = [0] * 8
-    for w, weight in system.iter_irreducible(8):
-        if system.quiver.head_of(w) == 2:
-            counts[weight] += 1
+    for w in all_paths(q, 8):
+        if q.head_of(w) == 2 and system._find_redex(w) is None:
+            counts[q.weight_of(w)] += 1
     assert counts == [expected_count(3, d) for d in range(8)]
 
 

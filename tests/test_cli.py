@@ -175,7 +175,7 @@ def _substitution_from_json(quiver, data):
         for term in terms:
             arrows = [quiver.by_name[a] for a in term["arrows"]]
             el[(arrows[0].tail, tuple(a.index for a in arrows))] = rational(term["coeff"])
-        images[name] = NCElement(quiver, data["truncation"], el)
+        images[quiver.by_name[name].index] = NCElement(quiver, data["truncation"], el)
     return Substitution(quiver, data["truncation"], images)
 
 

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import re
 import importlib.util
 from pathlib import Path
 
@@ -100,27 +101,33 @@ KEY_DELETERS = {"linalg.accumulate", "cycles.Potential.add_cycle",
                 "rewrite.ReductionSystem.add_relation", "rewrite._trie_remove"}
 
 
-def _key_deletions(tree: ast.Module, prefix: str):
-    """Qualified names of the functions holding ``del d[k]`` or ``d.pop(k, default)``."""
+def _scopes_where(tree: ast.Module, prefix: str, matches):
+    """Qualified names of the functions holding a node for which ``matches`` is true."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Delete) and any(isinstance(t, ast.Subscript) for t in child.targets):
-                yield scope
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                  and child.func.attr == "pop" and len(child.args) == 2):
+            if matches(child):
                 yield scope
             yield from visit(child, scope)
 
     yield from visit(tree, prefix)
 
 
+def _is_key_deletion(node) -> bool:
+    """``del d[k]`` or ``d.pop(k, default)``."""
+    if isinstance(node, ast.Delete):
+        return any(isinstance(t, ast.Subscript) for t in node.targets)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop" and len(node.args) == 2)
+
+
 def test_key_deletions_stay_in_their_homes():
     found = set()
     for path in MODULES:
-        found.update(_key_deletions(ast.parse(path.read_text(), filename=str(path)), path.stem))
+        found.update(_scopes_where(ast.parse(path.read_text(), filename=str(path)), path.stem,
+                                   _is_key_deletion))
     assert found <= KEY_DELETERS, f"hand-written key deletions in {sorted(found - KEY_DELETERS)}"
 
 
@@ -156,3 +163,59 @@ def test_imports_sit_at_module_level(path):
     # an import inside a function hides a dependency and repeats a lookup per call
     found = sorted(set(_function_imports(ast.parse(path.read_text(), filename=str(path)))))
     assert not found, f"{path.name} imports inside functions at {found}"
+
+
+# helpers with one caller each: term_shape classifies a potential's terms
+# for read_terms alone, and _advance steps the lead trie for the one walker
+# over irreducible words
+ONE_CALLER = {"term_shape": "monomial.read_terms",
+              "_advance": "rewrite.ReductionSystem.irreducible_table"}
+
+
+def _calls(callee: str):
+    def matches(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee
+    return matches
+
+
+@pytest.mark.parametrize("callee", sorted(ONE_CALLER))
+def test_helpers_keep_their_one_caller(callee):
+    found = set()
+    for path in MODULES:
+        found.update(_scopes_where(ast.parse(path.read_text(), filename=str(path)), path.stem,
+                                   _calls(callee)))
+    assert found == {ONE_CALLER[callee]}, f"{callee} is called from {sorted(found)}"
+
+
+# public names kept for the tests alone, as independent checks of the rest
+DECLARED_ORACLES = {"apq_relations"}
+
+
+def _used_names(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_public_name_has_a_user():
+    # a name earns its export by a user outside its own module: another
+    # module of the package, a demo, or the README
+    import qpcalc
+
+    used_in = {path.stem: set(_used_names(path)) for path in MODULES}
+    in_demos = {name for path in (ROOT / "demos").glob("*.py") for name in _used_names(path)}
+    readme = (ROOT / "README.md").read_text()
+    unused = []
+    for name in qpcalc.__all__:
+        home = getattr(qpcalc, name).__module__.rsplit(".", 1)[-1]
+        if (name in DECLARED_ORACLES or name in in_demos
+                or any(name in names for stem, names in used_in.items() if stem != home)
+                or re.search(rf"\b{re.escape(name)}\b", readme)):
+            continue
+        unused.append(name)
+    assert not unused, f"public names with no user outside their module and the tests: {unused}"

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpcalc.jacobi as jacobi
 from qpcalc.cycles import Potential, canonical_cycle, x_monomial
-from qpcalc.field import QQ
+from qpcalc.field import QQ, PreconditionError
 from qpcalc.jacobi import (
     EXACT,
     LOWER_BOUND,
@@ -47,6 +53,37 @@ def test_derivative_relations_shape():
     assert len(rels) == 4
     by_lead = {min(q.weight_of(w) for w in r.terms) for r in rels}
     assert by_lead == {3}
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the README's double_an(2) example, whose full algebra reads (30, LowerBound) at D = 8
+README_SCRIPT = """
+from qpcalc import double_an, jdim, x_monomial
+from qpcalc.field import PreconditionError
+q, D = double_an(2), 8
+f = (x_monomial(q, D, [(1, False), (2, False)]) + x_monomial(q, D, [(2, True), (3, False)])
+     + x_monomial(q, D, [(1, False)] * 3) + x_monomial(q, D, [(3, False)] * 3))
+try:
+    print(jdim(f, quotient_vertices=(99,)).as_pair())
+except PreconditionError as exc:
+    print("PreconditionError:", exc)
+"""
+
+
+def test_deleting_an_unknown_vertex_is_rejected():
+    q = base_quiver()
+    with pytest.raises(PreconditionError, match=r"no vertices \[99\] to delete"):
+        jdim(xy_potential(q, 8), quotient_vertices=(99,))
+
+
+def test_unknown_vertex_check_survives_optimize():
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", README_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "PreconditionError: no vertices [99] to delete\n"
 
 
 def test_vertex_deletion_quotient_dimension_six():

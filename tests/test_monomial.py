@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpcalc import QQ, double_an
-from qpcalc.cycles import Potential, cycle_from_slots, x_monomial
-from qpcalc.jacobi import fingerprint
+from qpcalc.cycles import Potential, canonical_cycle, cycle_from_slots, x_monomial
+from qpcalc.jacobi import all_paths, fingerprint
 from qpcalc.series import NCElement
 from qpcalc.monomial import (
     PreconditionError,
@@ -10,8 +13,9 @@ from qpcalc.monomial import (
     eliminate_loop,
     extract_monomial,
     monomialize,
+    _unit_middles,
     potential_from_kappa,
-    rescale_middle,
+    read_terms,
     type_a_report,
 )
 
@@ -65,7 +69,10 @@ def test_rescale_oracle():
     # consecutive-product coefficients (2, 3) force scale factors (1, 1/2, 2/3)
     q = double_an(2)
     f = base(q, 8, {1: 2, 2: 3}) + xm(q, 8, [1, 1]) + xm(q, 8, [3, 3])
-    g, sub = rescale_middle(f)
+    steps = []
+    g = _unit_middles(f, steps)
+    (sub,) = steps
+    assert _unit_middles(g, steps) is g and len(steps) == 1  # nothing left to rescale
     rep = type_a_report(g)
     assert all(c == 1 for c in rep.middle_coeffs.values())
     assert g.coeff(cycle_from_slots(q, [(1, False), (1, False)])) == 1  # k_1 = 1
@@ -167,3 +174,46 @@ def test_eliminate_loop_with_cubic_term():
     mono = extract_monomial(g)
     assert mono is not None
     assert fingerprint(f, D) == fingerprint(g, D)
+
+
+@lru_cache(maxsize=None)
+def _cycles(n, loopless, max_weight):
+    q = double_an(n, loopless)
+    return q, sorted({canonical_cycle(q, w) for w in all_paths(q, max_weight)
+                      if w[1] and q.head_of(w) == w[0]})
+
+
+@st.composite
+def random_potentials(draw):
+    n = draw(st.integers(2, 4))
+    loopless = tuple(sorted(draw(st.sets(st.integers(1, n)))))
+    q, cycles = _cycles(n, loopless, 7)
+    # x-degree 2 is where a skip can hide among other shapes, so draw it often
+    quadratic = [w for w in cycles if sum(q.x_degrees(w)) == 2]
+    f = Potential(q, 9)
+    terms = st.one_of(st.sampled_from(quadratic), st.sampled_from(cycles))
+    for word in draw(st.lists(terms, max_size=8, unique=True)):
+        f.add_cycle(word, QQ(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 3))))
+    return f
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(random_potentials())
+def test_read_terms_sorts_each_term_once(f):
+    q = f.quiver
+    kappa, middles, junk = read_terms(f)
+    assert len(kappa) + len(middles) + len(junk) == len(f.terms)
+    # the three parts add back up to f, so no term is lost or read twice
+    back = Potential(q, f.truncation)
+    for (i, j), coeff in kappa.items():
+        back.add_cycle(q.x_power(i, j), coeff)
+    for i, coeff in middles.items():
+        back.add_cycle(q.concat(q.xprime_word(i), q.x_word(i + 1)), coeff)
+    for word, coeff, _shape in junk:
+        back.add_cycle(word, coeff)
+    assert back == f
+    junk_words = [word for word, _c, _s in junk]
+    assert junk_words == [w for w in f.terms if w in set(junk_words)]  # in term order
+    # the next-degree search in _monomialize_core relies on this
+    for _word, _coeff, (kind, degree, _lo, _hi, _top) in junk:
+        assert degree >= 2 and (degree > 2 or kind == "skip")

@@ -263,26 +263,33 @@ def test_rules_stay_interreduced_and_complete_to_confluence(case, rng):
         assert sys.reduce(el) == sys.reduce_random(el, rng)
 
 
+def _irreducible_words(sys, D):
+    """The brute-force reference: every path below D with no redex."""
+    return [w for w in all_paths(sys.quiver, D) if sys._find_redex(w) is None]
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(random_relations())
-def test_iter_irreducible_matches_the_redex_search(case):
-    # the trie-state enumeration against the leftmost-redex search, word by word
+def test_irreducible_table_lists_each_irreducible_word_once(case):
+    # with the arrow ids as caller state each word is its own key, counted once
     q, D, rels, _probes = case
     sys = ReductionSystem(q, D)
     for rel in rels:
         sys.add_relation(rel)
     sys.complete()
-    pairs = list(sys.iter_irreducible(D))
-    assert all(weight == q.weight_of(w) for w, weight in pairs)
-    words = [w for w, _weight in pairs]
-    assert len(words) == len(set(words))
-    assert set(words) == {w for w in all_paths(q, D) if sys._find_redex(w) is None}
+    table = sys.irreducible_table(D, (), lambda ids, a: ids + (a,))
+    assert set(table.values()) == {1}
+    # a lazy path has ids () and sits at its head
+    listed = [((q.arrows[ids[0]].tail if ids else head, ids), head, weight)
+              for head, weight, ids in table]
+    assert all(q.head_of(w) == head and q.weight_of(w) == weight for w, head, weight in listed)
+    assert sorted(w for w, _head, _weight in listed) == sorted(_irreducible_words(sys, D))
 
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(random_relations())
 def test_irreducible_table_counts_the_listed_words(case):
-    # the count table against iter_irreducible's words, with the last arrow
+    # the count table against the brute-force words, with the last arrow
     # id as a caller automaton so caller states are checked as well
     q, D, rels, _probes = case
     sys = ReductionSystem(q, D)
@@ -290,8 +297,8 @@ def test_irreducible_table_counts_the_listed_words(case):
         sys.add_relation(rel)
     sys.complete()
     tallies = {}
-    for w, weight in sys.iter_irreducible(D):
-        key = (q.head_of(w), weight, w[1][-1] if w[1] else None)
+    for w in _irreducible_words(sys, D):
+        key = (q.head_of(w), q.weight_of(w), w[1][-1] if w[1] else None)
         tallies[key] = tallies.get(key, 0) + 1
     assert sys.irreducible_table(D, None, lambda _last, a: a) == tallies
     plain = {}

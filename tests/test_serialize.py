@@ -105,7 +105,7 @@ def test_substitution_emission_shape():
     image = NCElement.from_word(q, 8, (1, (a1.index,))) + NCElement.from_word(
         q, 8, (1, (a1.index, a1.index + 1, a1.index)), QQ(1, 2)
     )
-    sub = Substitution(q, 8, {"a1": image})
+    sub = Substitution(q, 8, {a1.index: image})
     data = substitution_to_json(sub)
     assert set(data["arrows"]) == {"a1"}
     assert data["arrows"]["a1"][0] == {"coeff": "1", "arrows": ["a1"]}

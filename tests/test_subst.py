@@ -25,7 +25,7 @@ def shear(q, D, coeff=1):
     """a1 -> a1 + coeff * a1 b1 a1, everything else fixed."""
     a1 = arrow(q, D, "a1")
     corr = NCElement.from_word(q, D, path(q, ["a1", "b1", "a1"]), coeff)
-    return Substitution(q, D, {"a1": a1 + corr})
+    return Substitution(q, D, {q.by_name["a1"].index: a1 + corr})
 
 
 def test_self_composition_coefficients():
@@ -47,11 +47,11 @@ def test_invertibility():
     assert s.is_invertible()
 
     # a linear rescale is invertible
-    r = Substitution(q, 8, {"a1": arrow(q, 8, "a1", QQ(3))})
+    r = Substitution(q, 8, {q.by_name["a1"].index: arrow(q, 8, "a1", QQ(3))})
     assert r.is_invertible()
 
     # killing an arrow is not invertible
-    z = Substitution(q, 8, {"a1": NCElement.zero(q, 8)})
+    z = Substitution(q, 8, {q.by_name["a1"].index: NCElement.zero(q, 8)})
     assert not z.is_invertible()
 
 
@@ -73,7 +73,7 @@ def test_compose_against_sequential_application():
     s1 = shear(q, D, coeff=2)
     b1 = arrow(q, D, "b1")
     corr = NCElement.from_word(q, D, path(q, ["b1", "a1", "b1"]), QQ(1, 3))
-    s2 = Substitution(q, D, {"b1": b1 + corr})
+    s2 = Substitution(q, D, {q.by_name["b1"].index: b1 + corr})
     f = x_monomial(q, D, [(1, True), (1, True)])  # x^2
     once = s2.apply_potential(s1.apply_potential(f))
     combined = compose(s1, s2).apply_potential(f)
@@ -105,7 +105,7 @@ def unitriangular(draw, D):
                                max_size=2, unique=True)):
             coeff = QQ(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 3)))
             el = el + NCElement.from_word(q, D, w, coeff)
-        images[a.name] = el
+        images[a.index] = el
     return Substitution(q, D, images)
 
 
