@@ -92,17 +92,25 @@ class NCElement:
         by_tail: Dict[int, list] = {}
         for rw, rc in other.terms.items():
             by_tail.setdefault(rw[0], []).append((rw[1], weight(rw), rc))
+        # the right factors lighter than the room a left word leaves, listed once
+        # per (head, room) in term order. The product keeps the order of the
+        # pair loop over left, then right terms: callers read terms in dict
+        # order (monomial's skip loop removes the first junk term it meets),
+        # so another order could change what qp prints
+        fitting: Dict[tuple, list] = {}
         out: Dict[Word, QQ] = {}
         heads = quiver.head_of
         for lw, lc in self.terms.items():
-            rights = by_tail.get(heads(lw))
-            if not rights:
+            head, room = heads(lw), cap - weight(lw)
+            fits = fitting.get((head, room))
+            if fits is None:
+                fits = fitting[head, room] = [(rids, rc) for rids, rweight, rc in by_tail.get(head, ())
+                                              if rweight < room]
+            if not fits:
                 continue
-            room = cap - weight(lw)
             ltail, lids = lw
             # distinct right words with one tail have distinct ids, so no two collide here
-            accumulate(out, lc, {(ltail, lids + rids): rc for rids, rweight, rc in rights
-                                 if rweight < room})
+            accumulate(out, lc, {(ltail, lids + rids): rc for rids, rc in fits})
         res = NCElement(quiver, cap)
         res.terms = out
         return res

@@ -7,13 +7,31 @@ modulo the truncation. Composition order: ``compose(s1, s2)`` applies
 
 ``Substitution.moves`` builds the coordinate changes the normalizations
 chain, each listed arrow a going to scale*a plus higher terms.
+
+Each stored image also records, once, its arrow's *own* coefficient (that
+of the arrow itself in its image, possibly 0) and its *gain*: the least
+weight that any other term of the image adds to the arrow's (the analogue
+of ``Rule.raises``; the truncation when there is no other term).
+``apply_word`` reads them to return a word whose result is known without
+a product. A term of the product of the images along a word of weight w
+picks one image term per letter; if it picks a non-own term anywhere, it
+weighs w plus the sum of the weights its picks add, at least w + g, where
+g is the least gain of the moved arrows in the word, provided every such
+gain is positive. So when w + g >= D (the truncation) every such term is
+dropped, and the word maps to itself times the product of its letters'
+own coefficients, or to 0 when that product is 0. A gain <= 0 (a loop
+mapped to loop + lazy path, say) breaks the bound, since two negative
+picks add less than one, so such a word falls back to the product; no
+substitution the package builds has one. ``compose`` computes the entries
+of the images it makes and copies ``second``'s entries with the images it
+reuses; ``_store`` is the one place that writes an image and its entry.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .field import ONE, QQ
+from .field import ONE, QQ, ZERO, PreconditionError
 from .linalg import accumulate, combine, rank_of
 from .quiver import Quiver, Word
 from .series import NCElement
@@ -21,22 +39,45 @@ from .cycles import Potential
 
 
 class Substitution:
-    __slots__ = ("quiver", "truncation", "images")
+    __slots__ = ("quiver", "truncation", "images", "_entries")
 
     def __init__(self, quiver: Quiver, truncation: int, images: Optional[Dict[int, NCElement]] = None):
-        """``images`` maps arrow indices to their images; every other arrow is fixed."""
+        """``images`` maps arrow indices to their images; every other arrow is fixed.
+
+        PreconditionError when an image is on another quiver or truncation, or
+        has a term that does not run between its arrow's endpoints.
+        """
         self.quiver = quiver
         self.truncation = truncation
         self.images: Dict[int, NCElement] = {}
+        # arrow index -> (own coefficient, gain), in step with ``images``
+        self._entries: Dict[int, Tuple[QQ, int]] = {}
         if images:
             for index, el in images.items():
                 a = quiver.arrows[index]
-                assert el.quiver is quiver and el.truncation == truncation
+                if el.quiver is not quiver or el.truncation != truncation:
+                    raise PreconditionError(f"image of {a.name} is on another quiver or truncation")
                 for word in el.terms:
-                    assert word[0] == a.tail and quiver.head_of(word) == a.head, (
-                        f"image of {a.name} must run {a.tail} -> {a.head}"
-                    )
-                self.images[a.index] = el
+                    if word[0] != a.tail or quiver.head_of(word) != a.head:
+                        raise PreconditionError(f"image of {a.name} must run {a.tail} -> {a.head}")
+                self._store(a.index, el)
+
+    def _store(self, index: int, el: NCElement, entry: Optional[Tuple[QQ, int]] = None) -> None:
+        """Make ``el`` the image of arrow ``index``, with ``entry`` as its (own
+        coefficient, gain), or with the entry read off ``el`` when none is given."""
+        if entry is None:
+            a = self.quiver.arrows[index]
+            own = (a.tail, (index,))
+            weight = self.quiver.weight_of
+            gain = self.truncation
+            for word in el.terms:
+                if word != own:
+                    gain = min(gain, weight(word) - a.weight)
+            coeff = el.terms.get(own, ZERO)
+            # the shared ONE lets apply_word and accumulate skip a product by 1
+            entry = (ONE if coeff == 1 else coeff, gain)
+        self.images[index] = el
+        self._entries[index] = entry
 
     @classmethod
     def identity(cls, quiver: Quiver, truncation: int) -> "Substitution":
@@ -69,9 +110,29 @@ class Substitution:
 
     def apply_word(self, word: Word) -> NCElement:
         quiver, cap = self.quiver, self.truncation
-        weight = quiver.weight_of
+        entries = self._entries
         tail, ids = word
         acc = NCElement(quiver, cap)
+        if len(ids) == 1 and ids[0] in entries:
+            # one moved arrow: the product would copy its image
+            acc.terms = dict(self.images[ids[0]].terms)
+            return acc
+        own, least = ONE, cap
+        for idx in ids:
+            entry = entries.get(idx)
+            if entry is not None:
+                if entry[0] is not ONE:
+                    own = own * entry[0]
+                if entry[1] < least:
+                    least = entry[1]
+        # the gain filter of the module docstring; with no moved arrow least
+        # is cap and the word maps to itself
+        weight = quiver.weight_of
+        wt = weight(word)
+        if least > 0 and wt + least >= cap:
+            if own and wt < cap:
+                acc.terms = {word: own}
+            return acc
         acc.terms = {(tail, ()): ONE}
         for idx in ids:
             img = self.images.get(idx)
@@ -87,14 +148,24 @@ class Substitution:
         return acc
 
     def apply_element(self, el: NCElement) -> NCElement:
-        assert el.quiver is self.quiver
+        """The image of ``el``; PreconditionError when it is on another quiver."""
+        if el.quiver is not self.quiver:
+            raise PreconditionError("the element and the substitution are on different quivers")
         res = NCElement(self.quiver, self.truncation)
         res.terms = combine(el.terms, lambda word: self.apply_word(word).terms)
         return res
 
     def apply_potential(self, f: Potential) -> Potential:
-        # the Potential constructor canonicalises each image word through add_cycle
-        return Potential(self.quiver, min(f.truncation, self.truncation), self.apply_element(f).terms)
+        # the terms go in as the Potential constructor would add them, but a
+        # key of f is a canonical cycle lighter than both truncations already:
+        # only a new word goes through add_cycle's canonicalisation
+        out = Potential(self.quiver, min(f.truncation, self.truncation))
+        for word, coeff in self.apply_element(f).terms.items():
+            if word in f.terms:
+                accumulate(out.terms, coeff, {word: ONE})
+            else:
+                out.add_cycle(word, coeff)
+        return out
 
     # -- structure -----------------------------------------------------------
 
@@ -112,14 +183,19 @@ class Substitution:
 
 
 def compose(first: Substitution, second: Substitution) -> Substitution:
-    """Substitution doing ``first`` then ``second``."""
-    assert first.quiver is second.quiver and first.truncation == second.truncation
-    touched = set(first.images) | set(second.images)
-    # an arrow that ``first`` fixes keeps its image under ``second`` as is
-    images = {i: second.apply_element(first.images[i]) if i in first.images else second.images[i]
-              for i in touched}
+    """Substitution doing ``first`` then ``second``.
+
+    PreconditionError unless both share the quiver and the truncation.
+    """
+    if first.quiver is not second.quiver or first.truncation != second.truncation:
+        raise PreconditionError("composed substitutions must share the quiver and the truncation")
     out = Substitution(first.quiver, first.truncation)
-    out.images = images
+    for i in set(first.images) | set(second.images):
+        if i in first.images:
+            out._store(i, second.apply_element(first.images[i]))
+        else:
+            # an arrow that ``first`` fixes keeps its image and entry under ``second`` as is
+            out._store(i, second.images[i], second._entries[i])
     return out
 
 

@@ -3,11 +3,14 @@
 ``bench/reference_digests.json`` holds the SHA-256 of the stdout of every job
 of the first two blocks of each workload at the benchmark's default seed, as
 ``bench/worker.run_job`` captures it. Any change to ``qp`` output on those
-170 jobs fails here, not only when the benchmark runs.
+170 jobs fails here, not only when the benchmark runs. Those jobs stop at
+D = 12, so one more pin holds ``qp monomialize`` at D = 14 on a larger input.
 """
 
+import hashlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,20 @@ def test_pinned_bench_jobs_keep_their_stdout(tmp_path, monkeypatch, workload):
             assert record["error"] is None, f"{workload} job {b}/{k}: {record['error']}"
             digests[f"{b}/{k}"] = record["digest"]
     assert digests == pinned
+
+
+# SHA-256 of `qp monomialize --emit-substitution` stdout on the scale potential
+# at D = 14, recorded before substitutions filtered words by their gain
+SCALE_MONOMIALIZE_D14 = "fff056ebda837361431635f0629df040891aa1be33d7720fda6abc3468685cf9"
+
+
+def test_scale_monomialize_keeps_its_stdout(tmp_path, capsys):
+    # the scale potential: type_a_shape on double_an(4), shape seed 5 and
+    # coefficient seed 7, where most words of each step skip the product
+    shape = workloads.type_a_shape(random.Random(5), 4)
+    doc = workloads.potential(4, [], 14, shape, random.Random(7))
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    assert main(["monomialize", "--input", str(path), "--emit-substitution"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCALE_MONOMIALIZE_D14

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpcalc.appendix import appendix_quiver
 from qpcalc.cycles import Potential, canonical_cycle
@@ -127,3 +128,60 @@ def test_relabel_drops_lazy_paths_off_the_target_and_recanonicalises():
     assert type(g) is Potential
     assert all(canonical_cycle(target, w) == w for w in g.terms)
     assert g.coeff((1, (3, 1, 0, 2))) == QQ(5)
+
+
+def random_walks(q, max_weight):
+    """Every word of weight below ``max_weight``, lazy paths included."""
+    out, frontier = [], [(v, ()) for v in q.vertices]
+    while frontier:
+        out.extend(frontier)
+        frontier = [(w[0], w[1] + (a.index,)) for w in frontier
+                    for a in q.arrows_by_tail[q.head_of(w)]
+                    if q.weight_of(w) + a.weight < max_weight]
+    return out
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two elements on double_an(2..3) or the weight-2 appendix quiver, at a
+    random truncation, with terms in random order and cancelling sums likely."""
+    kind = draw(st.sampled_from(["double", "double", "appendix"]))
+    if kind == "double":
+        n = draw(st.integers(2, 3))
+        q = double_an(n, sorted(draw(st.sets(st.integers(1, n)))))
+    else:
+        q = appendix_quiver(draw(st.integers(1, 2)))
+    D = draw(st.integers(1, 7))
+    words = random_walks(q, D)
+    coeffs = st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(-1, 2), QQ(3, 4)])
+
+    def element():
+        picked = draw(st.lists(st.sampled_from(words), max_size=8, unique=True))
+        return NCElement(q, D, {w: draw(coeffs) for w in picked})
+
+    return element(), element()
+
+
+def brute_force_product(left, right):
+    """Every (left, right) term pair in order, summed term by term; a key that
+    cancels leaves the dict, and comes back at its end."""
+    q, D = left.quiver, left.truncation
+    out = {}
+    for lw, lc in left.terms.items():
+        for rw, rc in right.terms.items():
+            word = (lw[0], lw[1] + rw[1])
+            if q.head_of(lw) != rw[0] or q.weight_of(word) >= D:
+                continue
+            total = out.get(word, QQ(0)) + lc * rc
+            if total:
+                out[word] = total
+            else:
+                del out[word]
+    return out
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(factor_pairs())
+def test_product_matches_the_pair_loop_in_terms_and_order(pair):
+    left, right = pair
+    assert list((left * right).terms.items()) == list(brute_force_product(left, right).items())
