@@ -8,7 +8,7 @@ nothing outside the standard library is required.
 from .field import QQ, rational, rational_str
 from .quiver import double_an, DoubledPathQuiver, Quiver
 from .series import NCElement
-from .cycles import Potential, canonical_cycle, cycle_from_slots, x_monomial
+from .cycles import Potential, cycle_from_slots, x_monomial
 from .subst import Substitution, compose, compose_chain
 from .rewrite import ReductionSystem, system_from_relations
 from .jacobi import (
@@ -62,7 +62,6 @@ __all__ = [
     "Quiver",
     "NCElement",
     "Potential",
-    "canonical_cycle",
     "cycle_from_slots",
     "x_monomial",
     "Substitution",

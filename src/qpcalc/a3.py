@@ -1,13 +1,15 @@
 """Potentials in two cycles x, y meeting at a vertex, and their classes.
 
 Everything here lives on ``a3_quiver()``, the doubled 3-vertex path with
-no loops, in ``monomial``'s vocabulary: x is slot 1 (x_1'), y is slot 2
-(x_2), xy is the consecutive product x_1' x_2, and power tables are keyed
-(slot, power). ``normalize`` removes, one degree at a time, all but xy and
-the lowest pure powers, using three one-parameter substitution families
-and ``monomial``'s funnel. ``classify`` reads the family from the
-``extract_monomial`` table of the result; ``class_potential`` builds the
-canonical form with ``potential_from_kappa``.
+no loops, in the quiver's and ``monomial``'s vocabulary: x is slot 1
+(x_1'), y is slot 2 (x_2), the cycle x^i y^j is ``cycle_from_slots`` of
+i letters x_1' then j letters x_2, xy is the consecutive product x_1' x_2,
+and power tables are keyed (slot, power). ``normalize`` removes, one
+degree at a time, all but xy and the lowest pure powers, using three
+one-parameter substitution families and ``monomial``'s funnel.
+``classify`` reads the family from the ``extract_monomial`` table of the
+result; ``class_potential`` builds the canonical form with
+``potential_from_kappa``.
 
 The endpoint is one of seven classes:
 
@@ -16,7 +18,9 @@ The endpoint is one of seven classes:
     3: x^p + xy + y^q, (p,q) != (2,2)          7: xy
     4: x^2 + xy + y^2/4
 
-with flop moves between them and finite derived-equivalence orbits.
+with flop moves between them and finite derived-equivalence orbits. The
+x <-> y relabeling swaps curves 1 and 3, so ``flop`` writes out the rules
+at curves 1 and 2 only.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .cycles import Potential, canonical_cycle
+from .cycles import Potential, cycle_from_slots
 from .field import QQ, ZERO, PreconditionError, nth_root
 from .monomial import (_funnel, _step, _unit_middles, extract_monomial, potential_from_kappa,
                        read_terms)
@@ -46,19 +50,9 @@ def require_a3_quiver(q) -> None:
         raise PreconditionError("classification expects the loopless three-vertex doubled path")
 
 
-def x_ids(q: DoubledPathQuiver) -> Tuple[int, ...]:
-    return q.xprime_word(1)[1]
-
-
-def y_ids(q: DoubledPathQuiver) -> Tuple[int, ...]:
-    return q.x_word(2)[1]
-
-
 def xy_word(q: DoubledPathQuiver, i: int, j: int) -> Word:
     """The cycle x^i y^j at the middle vertex."""
-    assert i + j > 0
-    ids = x_ids(q) * i + y_ids(q) * j
-    return canonical_cycle(q, (q.right_vertex(1), ids))
+    return cycle_from_slots(q, [(1, True)] * i + [(2, False)] * j)
 
 
 def xy_potential(trunc: int, coeffs: Dict[Tuple[int, int], QQ]) -> Potential:
@@ -88,23 +82,24 @@ def phi11(q: DoubledPathQuiver, trunc: int, s: int, lam: QQ) -> Substitution:
     """x -> x + lam x^{s+1}: adds lam p k1 x^{p+s} and lam x^{s+1} y."""
     assert s >= 1
     a1 = q.a_index(1)
-    return Substitution.moves(q, trunc, {a1: (1, {(1, (a1,) + x_ids(q) * s): lam})})
+    return Substitution.moves(q, trunc, {a1: (1, {(1, (a1,) + q.xprime_word(1)[1] * s): lam})})
 
 
 def phi22(q: DoubledPathQuiver, trunc: int, s: int, lam: QQ) -> Substitution:
     """y -> y + lam y^{s+1}: adds lam q k2 y^{q+s} and lam x y^{s+1}."""
     assert s >= 1
     a2 = q.a_index(2)
-    return Substitution.moves(q, trunc, {a2: (1, {(2, y_ids(q) * s + (a2,)): lam})})
+    return Substitution.moves(q, trunc, {a2: (1, {(2, q.x_word(2)[1] * s + (a2,)): lam})})
 
 
 def phi12(q: DoubledPathQuiver, trunc: int, s: int, lam1: QQ, lam2: QQ) -> Substitution:
     """x -> x + lam1 x^s y together with y -> y + lam2 x^s y."""
     assert s >= 1
     a1, a2 = q.a_index(1), q.a_index(2)
+    x, y = q.xprime_word(1)[1], q.x_word(2)[1]
     return Substitution.moves(q, trunc, {
-        a1: (1, {(1, (a1,) + x_ids(q) * (s - 1) + y_ids(q)): lam1}),
-        a2: (1, {(2, x_ids(q) * s + (a2,)): lam2}),
+        a1: (1, {(1, (a1,) + x * (s - 1) + y): lam1}),
+        a2: (1, {(2, x * s + (a2,)): lam2}),
     })
 
 
@@ -323,43 +318,26 @@ FlopResult = Union[A3Class, NotOnQ]
 
 
 def flop(cls: A3Class, curve: int) -> FlopResult:
+    """The class after flopping ``curve``; curve 3 is curve 1 seen through
+    the x <-> y relabeling, so only the rules at curves 1 and 2 are written."""
     assert curve in (1, 2, 3), "curve index out of range"
+    if curve == 3:
+        out = flop(swap_class(cls), 1)
+        return NotOnQ(3) if isinstance(out, NotOnQ) else swap_class(out)
     family, params = cls.key()
     if family == 1:
         (lam,) = params
-        if curve == 2:
-            return A3Class(1, (1 / (16 * lam),))
-        return A3Class(1, (QQ(1, 4) - lam,))
-    if family == 2:
-        (s,) = params
-        if curve == 1:
-            return A3Class(3, (2, s))
-        if curve == 3:
-            return A3Class(3, (s, 2))
-        return NotOnQ(curve)
-    if family == 3:
-        p, q = params
-        if curve == 1 and p == 2:
-            return A3Class(2, (q,))
-        if curve == 3 and q == 2:
-            return A3Class(2, (p,))
-        return NotOnQ(curve)
+        return A3Class(1, (1 / (16 * lam),) if curve == 2 else (QQ(1, 4) - lam,))
     if family == 4:
-        if curve == 1:
-            return A3Class(5, (2,))
-        if curve == 2:
-            return A3Class(4, ())
-        return A3Class(6, (2,))
-    if family == 5:
-        (p,) = params
-        if curve == 1 and p == 2:
-            return A3Class(4, ())
-        return NotOnQ(curve)
-    if family == 6:
-        (q,) = params
-        if curve == 3 and q == 2:
-            return A3Class(4, ())
-        return NotOnQ(curve)
+        return A3Class(4, ()) if curve == 2 else A3Class(5, (2,))
+    # every other class stays on the quiver only at curve 1, and only with x^2
+    if curve == 1 and family == 2:
+        (s,) = params
+        return A3Class(3, (2, s))
+    if curve == 1 and family == 3 and params[0] == 2:
+        return A3Class(2, (params[1],))
+    if curve == 1 and family == 5 and params == (2,):
+        return A3Class(4, ())
     return NotOnQ(curve)
 
 

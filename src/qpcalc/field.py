@@ -257,10 +257,7 @@ def rational(value) -> "QQ":
 
 def rational_str(value) -> str:
     """Render 'p/q' (or 'p' if integral); the inverse of :func:`rational`."""
-    value = QQ(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(QQ(value))
 
 
 def _int_nth_root(n: int, k: int):

@@ -14,15 +14,16 @@ The pipeline:
 
 1. ``_unit_middles``: rescale the a-arrows so all consecutive products
    carry coefficient 1;
-2. the skip loop: remove the only non-monomial degree-2 shapes, products
-   x_{s-1}' x_{s+1} jumping over a loop, by a_s -> a_s - coeff * x_{s-1}';
-3. ``_funnel``, degree by degree: remove every cycle touching at least two
-   slots by a substitution that trades it for cycles whose top slot
-   multiplicity is strictly smaller, until only pure powers remain.
+2. ``_funnel``, degree by degree from 2: remove the junk of one degree,
+   the largest ((top slot, top count), ids) first. At degree 2 the junk
+   is skips, products x_{s-1}' x_{s+1} jumping over a loop, removed by
+   a_s -> a_s - coeff * x_{s-1}'; above it, a substitution trades each
+   cycle for cycles whose top slot multiplicity is strictly smaller,
+   until only pure powers remain.
 
 ``_step`` records each exact substitution, so composing them reproduces the
-output from the input on the nose; ``a3.normalize`` shares all three. Both
-loops stop after MAX_PASSES passes with an AssertionError, which -O keeps.
+output from the input on the nose; ``a3.normalize`` shares ``_step``,
+``_unit_middles`` and ``_funnel``. The funnel stops after MAX_PASSES passes with an AssertionError, which -O keeps.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def read_terms(f: Potential) -> Tuple[Dict[Tuple[int, int], QQ], Dict[int, QQ],
                                       List[Tuple[Word, QQ, Shape]]]:
     """One pass over f's terms: the pure powers x_i^j keyed (slot i, power j),
     the consecutive products x_i' x_{i+1} keyed i, and the junk, every other
-    term as (word, coeff, ``term_shape``) in term order.
+    term as (word, coeff, ``term_shape``). Junk comes in term order, but
+    ``_funnel`` picks its steps by a key, so no result depends on that order.
 
     Junk of degree 2 is a skip: a cycle touching slots lo < hi crosses
     every edge slot between them, at an a-letter each, so at x-degree 2
@@ -155,7 +157,7 @@ def potential_from_kappa(q: DoubledPathQuiver, truncation: int,
     return f
 
 
-# -- step 2/3: removal substitutions ----------------------------------------------
+# -- step 2: removal substitutions ----------------------------------------------
 
 
 def _skip_substitution(f: Potential, coeff: QQ, shape: Shape) -> Substitution:
@@ -248,14 +250,26 @@ def _unit_middles(f: Potential, steps: List[Substitution]) -> Potential:
 
 
 def _funnel(f: Potential, degree: int, steps: List[Substitution], min_top: int = 1) -> Potential:
-    """Remove the junk of one ``degree`` >= 3 whose top slot count is at least
-    ``min_top``, recording each step, the largest ((top slot, top count), ids) first."""
+    """Remove the junk of one ``degree`` >= 2 whose top slot count is at least
+    ``min_top``, recording each step, the largest ((top slot, top count), ids) first.
+
+    The key makes the order of steps a function of the potential, not of its
+    term order. At degree 2 the order does not even matter: a skip at loop
+    slot s moves only a_s, and its image a_s - c * x_{s-1}' holds no other
+    moved arrow. Each term the step makes holds the pair (b_{s-1}, a_{s-1}),
+    while the only such pair in another skip x_{t-1}' x_{t+1} sits at
+    k = t - 1, so no step changes another skip's coefficient. The skip steps
+    are thus the same set in any order, they commute, and ``compose_chain``
+    gives the same map.
+    """
     for _ in range(MAX_PASSES):
         junk = [item for item in read_terms(f)[2] if item[2][1] == degree and item[2][4] >= min_top]
         if not junk:
             return f
         word, coeff, shape = max(junk, key=lambda it: (it[2][3:], it[0][1]))
-        f = _step(f, _higher_substitution(f, word, coeff, shape), steps)
+        sub = (_skip_substitution(f, coeff, shape) if degree == 2
+               else _higher_substitution(f, word, coeff, shape))
+        f = _step(f, sub, steps)
     raise AssertionError(f"junk of degree {degree} left after {MAX_PASSES} passes")
 
 
@@ -263,25 +277,17 @@ def _monomialize_core(f: Potential) -> Tuple[Potential, List[Substitution]]:
     steps: List[Substitution] = []
     f = _unit_middles(f, steps)
 
-    # degree 2: kill loop-jumping products, then repair any drift the kill
-    # causes to consecutive products when loop squares are around
-    for _ in range(MAX_PASSES):
-        skip = next((item for item in read_terms(f)[2] if item[2][1] == 2), None)
-        if skip is None:
-            break
-        _word, coeff, shape = skip
-        f = _step(f, _skip_substitution(f, coeff, shape), steps)
-    else:
-        raise AssertionError(f"skips left after {MAX_PASSES} passes")
-    f = _unit_middles(f, steps)
-
-    # higher degrees, ascending; each removal only adds junk at the same
-    # degree with smaller top-slot data or at strictly higher degrees
-    d = 3
+    # ascending degrees; each removal only adds junk at the same degree with
+    # smaller top-slot data or at strictly higher degrees
+    d = 2
     while d < f.truncation:
         f = _funnel(f, d, steps)
-        # the lowest degree with junk left: at least 3, since no step above
-        # degree 2 makes a term of degree 2, and junk of degree 2 is a skip
+        if d == 2:
+            # a skip step at s turns part of a loop square x_s^2 into the
+            # consecutive product x_{s-1}' x_s; rescale that drift away
+            f = _unit_middles(f, steps)
+        # the lowest degree with junk left: at least 3 after degree 2, since
+        # no step above degree 2 makes a term of degree 2
         d = min((shape[1] for _w, _c, shape in read_terms(f)[2]), default=f.truncation)
     return f, steps
 

@@ -88,15 +88,12 @@ class NCElement:
         self._compatible(other)
         quiver, cap = self.quiver, self.truncation
         weight = quiver.weight_of
-        # right factors by tail vertex, in term order, weighed once
+        # right factors by tail vertex, weighed once
         by_tail: Dict[int, list] = {}
         for rw, rc in other.terms.items():
             by_tail.setdefault(rw[0], []).append((rw[1], weight(rw), rc))
         # the right factors lighter than the room a left word leaves, listed once
-        # per (head, room) in term order. The product keeps the order of the
-        # pair loop over left, then right terms: callers read terms in dict
-        # order (monomial's skip loop removes the first junk term it meets),
-        # so another order could change what qp prints
+        # per (head, room)
         fitting: Dict[tuple, list] = {}
         out: Dict[Word, QQ] = {}
         heads = quiver.head_of

@@ -151,6 +151,42 @@ def test_flop_table_values():
     assert flop(A3Class(3, (2, 7)), 1).key() == (2, (7,))
 
 
+# flop(cls, curve) for curves 1, 2, 3: a class key, or the curve NotOnQ reports
+FLOP_TABLE = {
+    (1, (QQ(1, 3),)): [(1, (QQ(-1, 12),)), (1, (QQ(3, 16),)), (1, (QQ(-1, 12),))],
+    (1, (QQ(2),)): [(1, (QQ(-7, 4),)), (1, (QQ(1, 32),)), (1, (QQ(-7, 4),))],
+    (1, (QQ(-1),)): [(1, (QQ(5, 4),)), (1, (QQ(-1, 16),)), (1, (QQ(5, 4),))],
+    (1, (QQ(1, 8),)): [(1, (QQ(1, 8),)), (1, (QQ(1, 2),)), (1, (QQ(1, 8),))],
+    (1, (QQ(-3, 4),)): [(1, (QQ(1),)), (1, (QQ(-1, 12),)), (1, (QQ(1),))],
+    (2, (3,)): [(3, (2, 3)), 2, (3, (3, 2))],
+    (2, (4,)): [(3, (2, 4)), 2, (3, (4, 2))],
+    (2, (7,)): [(3, (2, 7)), 2, (3, (7, 2))],
+    (3, (2, 3)): [(2, (3,)), 2, 3],
+    (3, (2, 5)): [(2, (5,)), 2, 3],
+    (3, (3, 2)): [1, 2, (2, (3,))],
+    (3, (5, 2)): [1, 2, (2, (5,))],
+    (3, (3, 3)): [1, 2, 3],
+    (3, (3, 4)): [1, 2, 3],
+    (3, (4, 3)): [1, 2, 3],
+    (4, ()): [(5, (2,)), (4, ()), (6, (2,))],
+    (5, (2,)): [(4, ()), 2, 3],
+    (5, (3,)): [1, 2, 3],
+    (5, (4,)): [1, 2, 3],
+    (5, (6,)): [1, 2, 3],
+    (6, (2,)): [1, 2, (4, ())],
+    (6, (3,)): [1, 2, 3],
+    (6, (4,)): [1, 2, 3],
+    (6, (6,)): [1, 2, 3],
+    (7, ()): [1, 2, 3],
+}
+
+
+@pytest.mark.parametrize("key", FLOP_TABLE, ids=str)
+def test_flop_matches_the_full_table(key):
+    got = [flop(A3Class(*key), curve) for curve in (1, 2, 3)]
+    assert [r.curve if isinstance(r, NotOnQ) else r.key() for r in got] == FLOP_TABLE[key]
+
+
 def test_flop_is_an_involution_on_q():
     samples = [
         A3Class(1, (QQ(1),)), A3Class(1, (QQ(-2, 7),)), A3Class(2, (3,)),

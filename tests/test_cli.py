@@ -101,6 +101,14 @@ def test_jdim_exact_with_quotients(tmp_path, capsys):
     assert payload["quotients"]["3"]["dim"] == 6
 
 
+def test_jdim_quotient_vertex_outside_the_quiver_exits_one(tmp_path, capsys):
+    path = two_cycle_file(tmp_path)
+    assert main(["jdim", "--input", path, "--quotient-vertex", "99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qp: precondition failed: no vertices [99] to delete\n"
+
+
 def test_jdim_lower_bound_exits_two(tmp_path, capsys):
     path = two_cycle_file(tmp_path, kx="0", ky="0", truncation=10)
     code, payload = run(capsys, "jdim", "--input", path)

@@ -166,10 +166,13 @@ def test_imports_sit_at_module_level(path):
 
 
 # helpers with one caller each: term_shape classifies a potential's terms
-# for read_terms alone, and _advance steps the lead trie for the one walker
-# over irreducible words
+# for read_terms alone, _advance steps the lead trie for the one walker
+# over irreducible words, and the two removal substitutions serve the one
+# junk-removal loop
 ONE_CALLER = {"term_shape": "monomial.read_terms",
-              "_advance": "rewrite.ReductionSystem.irreducible_table"}
+              "_advance": "rewrite.ReductionSystem.irreducible_table",
+              "_skip_substitution": "monomial._funnel",
+              "_higher_substitution": "monomial._funnel"}
 
 
 def _calls(callee: str):

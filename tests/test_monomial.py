@@ -7,12 +7,14 @@ from qpcalc import QQ, double_an
 from qpcalc.cycles import Potential, canonical_cycle, cycle_from_slots, x_monomial
 from qpcalc.jacobi import all_paths, fingerprint
 from qpcalc.series import NCElement
+from qpcalc.serialize import substitution_to_json
 from qpcalc.monomial import (
     PreconditionError,
     add_loop,
     eliminate_loop,
     extract_monomial,
     monomialize,
+    _monomialize_core,
     _unit_middles,
     potential_from_kappa,
     read_terms,
@@ -217,3 +219,36 @@ def test_read_terms_sorts_each_term_once(f):
     # the next-degree search in _monomialize_core relies on this
     for _word, _coeff, (kind, degree, _lo, _hi, _top) in junk:
         assert degree >= 2 and (degree > 2 or kind == "skip")
+
+
+@st.composite
+def skip_terms(draw):
+    """The terms of a Type A potential on double_an(4..5), as (word, coeff)
+    pairs in a drawn order: skips over two or more loop slots, consecutive
+    products and a few cycles of x-degree 3."""
+    n = draw(st.integers(4, 5))
+    q, cycles = _cycles(n, (), 6)
+    coeffs = st.builds(QQ, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+    # a skip needs edge slots on both sides of its loop slot
+    slots = [s for s in range(2, q.m) if q.is_loop(s) and not q.is_loop(s - 1) and not q.is_loop(s + 1)]
+    skips = draw(st.lists(st.sampled_from(slots), min_size=2, unique=True))
+    terms = [(cycle_from_slots(q, [(s - 1, True), (s + 1, False)]), draw(coeffs)) for s in skips]
+    terms += [(cycle_from_slots(q, [(i, True), (i + 1, False)]), draw(coeffs)) for i in range(1, q.m)]
+    cubic = [w for w in cycles if sum(q.x_degrees(w)) == 3]
+    terms += [(w, draw(coeffs)) for w in draw(st.lists(st.sampled_from(cubic), max_size=3, unique=True))]
+    return q, terms, draw(st.permutations(terms))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(skip_terms())
+def test_monomialize_steps_do_not_depend_on_term_order(case):
+    q, terms, shuffled = case
+    runs = []
+    for order in (terms, shuffled):
+        f = Potential(q, 8)
+        for word, coeff in order:
+            f.add_cycle(word, coeff)
+        runs.append(_monomialize_core(f))
+    (g1, steps1), (g2, steps2) = runs
+    assert [substitution_to_json(s) for s in steps1] == [substitution_to_json(s) for s in steps2]
+    assert g1 == g2
