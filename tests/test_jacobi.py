@@ -57,17 +57,24 @@ def test_derivative_relations_shape():
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the README's double_an(2) example, whose full algebra reads (30, LowerBound) at D = 8
-README_SCRIPT = """
+# the README's double_an(2) example, whose full algebra reads (30, LowerBound) at D = 8,
+# then an element on another quiver handed to the rewriting engine
+PRECONDITION_SCRIPT = """
 from qpcalc import double_an, jdim, x_monomial
 from qpcalc.field import PreconditionError
+from qpcalc.rewrite import ReductionSystem
+from qpcalc.series import NCElement
 q, D = double_an(2), 8
 f = (x_monomial(q, D, [(1, False), (2, False)]) + x_monomial(q, D, [(2, True), (3, False)])
      + x_monomial(q, D, [(1, False)] * 3) + x_monomial(q, D, [(3, False)] * 3))
-try:
-    print(jdim(f, quotient_vertices=(99,)).as_pair())
-except PreconditionError as exc:
-    print("PreconditionError:", exc)
+system = ReductionSystem(q, D)
+other = NCElement.lazy(double_an(3), D, 1)
+for call in (lambda: jdim(f, quotient_vertices=(99,)).as_pair(),
+             lambda: system.reduce(other), lambda: system.add_relation(other)):
+    try:
+        print(call())
+    except PreconditionError as exc:
+        print("PreconditionError:", exc)
 """
 
 
@@ -80,10 +87,14 @@ def test_deleting_an_unknown_vertex_is_rejected():
 def test_unknown_vertex_check_survives_optimize():
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-c", README_SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, *flags, "-c", PRECONDITION_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout == "PreconditionError: no vertices [99] to delete\n"
+        assert proc.stdout.splitlines() == [
+            "PreconditionError: no vertices [99] to delete",
+            "PreconditionError: the element and the reduction system are on different quivers",
+            "PreconditionError: the element and the reduction system are on different quivers",
+        ]
 
 
 def test_vertex_deletion_quotient_dimension_six():

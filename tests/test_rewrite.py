@@ -1,12 +1,14 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpcalc.appendix import appendix_system
 from qpcalc.cycles import Potential
-from qpcalc.field import QQ
-from qpcalc.jacobi import all_paths
+from qpcalc.field import QQ, PreconditionError
+from qpcalc.jacobi import all_paths, jacobi_relations
 from qpcalc.linalg import combine
+from qpcalc.monomial import potential_from_kappa
 from qpcalc.quiver import Quiver, double_an
 from qpcalc.series import NCElement
 from qpcalc.rewrite import ReductionSystem, system_from_relations
@@ -122,41 +124,82 @@ def test_interreduction_keeps_leads_irreducible():
         assert sys.reduce(rhs_el).is_zero()
 
 
+def _record_searches(monkeypatch):
+    """Patch ``_find_redex`` to log (word, redex) for every word searched."""
+    searched = []
+    find_redex = ReductionSystem._find_redex
+
+    def recording(self, w):
+        redex = find_redex(self, w)
+        searched.append((w, redex))
+        return redex
+
+    monkeypatch.setattr(ReductionSystem, "_find_redex", recording)
+    return searched
+
+
+def _replay(system, start, searched, out):
+    """Replay one reduction's searches with ``_rewrite_once`` as the step.
+
+    Checks that no word is searched twice, that every contribution lands
+    on a word not yet searched (so a word's coefficient is final at its
+    turn), that exactly the words with a nonzero coefficient are searched,
+    and that the output is the irreducible ones. Returns the words whose
+    contributions cancelled, none of which was searched.
+    """
+    order = {}
+    for i, (w, _redex) in enumerate(searched):
+        assert order.setdefault(w, i) == i, f"{w} searched twice"
+    coeff = dict(start)
+    for i, (w, redex) in enumerate(searched):
+        if redex is not None:
+            for u, c in system._rewrite_once(w, *redex).items():
+                assert order.get(u, len(searched)) > i
+                coeff[u] = coeff.get(u, 0) + coeff[w] * c
+    assert {u for u, c in coeff.items() if c} == order.keys()
+    assert out == {w: coeff[w] for w, redex in searched if redex is None}
+    return {u for u, c in coeff.items() if not c}
+
+
 def test_each_word_is_rewritten_once(monkeypatch):
     # a descending loop run before two arrow pairs: its leftmost-redex
     # rewriting is one long chain of coefficient-1 steps
     system = appendix_system(2, 16)
     q = system.quiver
     word = (0, (q.loop(0, 2), q.loop(0, 1), q.loop(0, 0), q.a(0), q.b(0), q.a(0), q.b(0)))
-    steps = []  # (rewritten word, its one-step expansion)
-    rewrite_once = ReductionSystem._rewrite_once
+    searched = _record_searches(monkeypatch)
+    nf = system.normal_form_word(word)
+    assert len(searched) > 10
+    _replay(system, {word: 1}, searched, nf)
 
-    def recording(self, w, pos, rid):
-        out = rewrite_once(self, w, pos, rid)
-        steps.append((w, out))
+    # every reduction of a Type A completion, S-polynomials included: about
+    # three in four reduce to zero, and in some the two sides cancel at a
+    # reducible word, which is then never searched
+    reduce = ReductionSystem.reduce
+    seen = {"zero": 0, "cancelled reducible": 0}
+
+    def replaying(self, el):
+        searched.clear()
+        out = reduce(self, el)
+        cancelled = _replay(self, el.truncate(self.truncation).terms, list(searched), out.terms)
+        if out.is_zero():
+            seen["zero"] += 1
+            seen["cancelled reducible"] += any(self._find_redex(u) is not None for u in cancelled)
         return out
 
-    monkeypatch.setattr(ReductionSystem, "_rewrite_once", recording)
-    system._nf_cache.clear()
-    nf = system.normal_form_word(word)
-    rewritten = [w for w, _out in steps]
-    assert len(rewritten) > 10
-    assert len(set(rewritten)) == len(rewritten)
+    monkeypatch.setattr(ReductionSystem, "reduce", replaying)
+    q = double_an(2)
+    f = potential_from_kappa(q, 8, {(1, 3): QQ(1), (2, 3): QQ(-1), (3, 3): QQ(1, 2)})
+    system_from_relations(q, 8, jacobi_relations(f))
+    assert seen["zero"] > 10 and seen["cancelled reducible"]
 
-    def lone_one(out):
-        return len(out) == 1 and list(out.values()) == [1]
 
-    # a chain link is reached by a lone coefficient-1 step and left by one;
-    # it is interior unless it was asked for or starts a chain of its own
-    reached = {u for _w, out in steps if lone_one(out) for u in out}
-    heads = {word} | {u for _w, out in steps if not lone_one(out) for u in out}
-    interior = {w for w, out in steps if lone_one(out) and w in reached} - heads
-    assert interior
-    assert not interior & system._nf_cache.keys()
-
-    steps.clear()
-    assert system.normal_form_word(word) is nf
-    assert not steps
+def test_elements_on_another_quiver_are_rejected():
+    system = ReductionSystem(two_loop_quiver(), 6)
+    other = NCElement.lazy(double_an(2), 6, 1)
+    for call in (system.reduce, system.add_relation):
+        with pytest.raises(PreconditionError, match="different quivers"):
+            call(other)
 
 
 def test_reduce_leaves_no_zero_and_nothing_heavy():
@@ -409,3 +452,44 @@ def test_weight_preserving_rules_skip_the_weight_sum(monkeypatch):
     calls.clear()
     assert raising._rewrite_once(xyx, *raising._find_redex(xyx)) == {word(lq, ["y", "y", "y", "x"]): 1}
     assert calls == [xyx]
+
+
+@st.composite
+def type_a_cases(draw):
+    """A Type A potential on double_an(2..3) at D = 6..9: the consecutive
+    products, some pure powers x_i^j (j = 3, 4) and up to four cycles of
+    weight 3-5, with random coefficients; and 1-4 elements on its quiver."""
+    n = draw(st.integers(2, 3))
+    q = double_an(n)
+    D = draw(st.integers(6, 9))
+    powers = draw(st.sets(st.tuples(st.integers(1, q.m), st.integers(3, 4)), max_size=4))
+    f = potential_from_kappa(q, D, {ij: draw(st.sampled_from(COEFFS)) for ij in sorted(powers)})
+    paths = [w for w in all_paths(q, D) if w[1]]
+    cycles = [w for w in paths if q.head_of(w) == w[0] and 3 <= q.weight_of(w) <= 5]
+    for w in draw(st.lists(st.sampled_from(cycles), max_size=4)):
+        f.add_cycle(w, draw(st.sampled_from(COEFFS)))
+    elements = [_element(draw, q, D, paths) for _ in range(draw(st.integers(1, 4)))]
+    return f, elements
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(type_a_cases(), st.randoms(use_true_random=False))
+def test_reduce_matches_the_per_word_sum_and_random_schedules(case, rng):
+    f, elements = case
+    q, D = f.quiver, f.truncation
+    system = ReductionSystem(q, D)
+    for rel in jacobi_relations(f):
+        if rel.is_zero():
+            continue
+        system.add_relation(rel)
+        # part-way through completion the output is still irreducible and
+        # still the per-word sum, though not yet unique
+        for el in elements:
+            out = system.reduce(el)
+            assert all(system._find_redex(w) is None for w in out.terms)
+            assert out.terms == combine(el.terms, system.normal_form_word)
+    system.complete()
+    for el in elements:
+        out = system.reduce(el)
+        assert out.terms == combine(el.terms, system.normal_form_word)
+        assert out == system.reduce_random(el, rng)
