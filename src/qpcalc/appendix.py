@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, Dict, List, Tuple
 
-from .field import QQ
+from .field import ONE, QQ, PreconditionError
 from .linalg import accumulate, combine, rank_of
 from .quiver import Quiver, Word
 from .rewrite import ReductionSystem
@@ -36,7 +36,8 @@ class AppendixQuiver(Quiver):
     ascending ones under the (weight, -length, lex) order."""
 
     def __init__(self, n: int):
-        assert n >= 1
+        if n < 1:
+            raise PreconditionError(f"the cyclic quiver needs n >= 1, not {n}")
         arrows = []
         for t in range(n + 1):
             for i in range(n, -1, -1):
@@ -48,7 +49,8 @@ class AppendixQuiver(Quiver):
         self.n = n
 
     def loop(self, t: int, i: int) -> int:
-        assert 0 <= i <= self.n
+        if not 0 <= i <= self.n:
+            raise PreconditionError(f"loop index {i} is outside 0..{self.n}")
         return (t % (self.n + 1)) * (self.n + 1) + (self.n - i)
 
     def a(self, t: int) -> int:
@@ -254,23 +256,119 @@ def appendix_checks(n: int, max_degree: int) -> Dict[str, object]:
 # -- the five-term complex ---------------------------------------------------------------
 
 
-def _image_vec(system: ReductionSystem, source: Word, factors: List[Tuple[Word, QQ, int]]
-               ) -> Vec:
-    """Right-multiply a basis word by tagged factors and express in coordinates
-    keyed by (component tag, word).
+Ids = Tuple[int, ...]
 
-    Each product source·factor is reduced whole, by one ``normal_form_word``
-    call. Only the product's weight is checked: no appendix rule raises the
-    weight, so no word met along the way weighs more than the product.
+
+class _RightAction:
+    """Right multiplication by arrows on normal forms, as a table of
+    (irreducible word, arrow) products.
+
+    ``fold(tail, vec, weight, arrows)`` takes a combination ``vec`` of
+    irreducible words that all start at ``tail`` and weigh ``weight``,
+    and returns NF(vec·arrows), folded one arrow at a time. A
+    combination is either one word's arrow ids, with coefficient one,
+    or a dict from arrow ids to coefficients; so is every table entry.
+
+    The table holds NF(u·a) for an irreducible word u and an arrow a,
+    keyed by the product's arrow ids split into a and the ids of u: one
+    dict per arrow, keyed by u's ids. Those are the very tuple of a
+    basis word or of an earlier entry, so most keys cost no memory, and
+    a lookup builds no tuple. The appendix system is confluent (module
+    docstring), so by Bergman's diamond lemma (Adv. Math. 29, 1978) NF
+    is well defined and linear below the truncation, and NF(x·y) =
+    NF(NF(x)·y). A new entry therefore needs one redex search on u·a:
+    u is irreducible, so any redex ends at a, and the leftmost one
+    rewrites u·a to the sum of c·u[:pos]·t over the rule's tail words
+    t. Each u[:pos]·t is an irreducible prefix of u times the arrows of
+    t, and is folded through the table arrow by arrow. The recursion
+    ends: each entry it asks for is a proper prefix of a word that u·a
+    rewrites to, so it weighs less, or that whole word, which is
+    K-larger at the same weight. The appendix relations are
+    homogeneous, so every word of NF(x) weighs what x weighs; a tail
+    word whose weight, by its rule step's gain, reaches the truncation
+    is dropped. The products of one exactness check share their
+    prefixes and their first arrows across degrees, and that reuse is
+    what the table saves.
+
+    ``ReductionSystem.normal_form_word`` stays the engine's only general
+    normal form; this table serves one system, unchanged while it lives.
     """
-    q = system.quiver
-    truncation = system.truncation
+
+    # a class, not two closures: closures that call each other form a reference
+    # cycle, which keeps a check's table alive until the cyclic collector runs
+    __slots__ = ("table", "arrow_weight", "truncation", "find_redex", "rules")
+
+    def __init__(self, system: ReductionSystem):
+        self.table: List[Dict[Ids, object]] = [{} for _ in system.quiver.arrows]
+        self.arrow_weight = [arrow.weight for arrow in system.quiver.arrows]
+        self.truncation = system.truncation
+        self.find_redex = system._find_redex
+        self.rules = system.rules
+
+    def fold(self, tail: int, vec: object, weight: int, arrows: Ids) -> object:
+        times, arrow_weight = self._times, self.arrow_weight
+        for a in arrows:
+            if vec.__class__ is tuple:
+                vec = times(tail, vec, weight, a)
+            else:
+                out: Dict[Ids, QQ] = {}
+                for ids, c in vec.items():
+                    accumulate(out, c, _terms(times(tail, ids, weight, a)))
+                vec = out
+            weight += arrow_weight[a]
+        return vec
+
+    def _times(self, tail: int, ids: Ids, weight: int, a: int) -> object:
+        """NF(u·a) for the irreducible word u = (tail, ids) of the given weight."""
+        weight += self.arrow_weight[a]
+        if weight >= self.truncation:
+            return {}
+        column = self.table[a]
+        entry = column.get(ids)
+        if entry is not None:
+            return entry
+        key = ids + (a,)
+        redex = self.find_redex((tail, key))
+        if redex is None:
+            entry = key
+        else:
+            pos, rid = redex
+            prefix = key[:pos]
+            base = weight  # the prefix's weight
+            for i in key[pos:]:
+                base -= self.arrow_weight[i]
+            entry = {}
+            for mids, c, gain in self.rules[rid].steps:
+                if weight + gain < self.truncation:
+                    accumulate(entry, c, _terms(self.fold(tail, prefix, base, mids)))
+            if len(entry) == 1:
+                ((word, c),) = entry.items()
+                if c == 1:
+                    entry = word
+        column[ids] = entry
+        return entry
+
+
+def _terms(vec: object) -> Dict[Ids, QQ]:
+    """A right-action combination as a dict from arrow ids to coefficients."""
+    return {vec: ONE} if vec.__class__ is tuple else vec
+
+
+def _image_vec(action: _RightAction, source: Word, weight: int,
+               factors: List[Tuple[Ids, QQ, int]]) -> Vec:
+    """Right-multiply a basis word of the given weight by tagged factors, each
+    a tuple of arrow ids, and express in coordinates keyed by (component
+    tag, word).
+
+    Each product source·factor is read from the check's right-action
+    table (``_RightAction``) one arrow at a time, so a two-arrow factor
+    is two table steps.
+    """
+    tail, ids = source
     out: Vec = {}
     for factor, coeff, tag in factors:
-        prod = q.concat(source, factor)
-        if prod is None or q.weight_of(prod) >= truncation:
-            continue
-        accumulate(out, coeff, {(tag, w): c for w, c in system.normal_form_word(prod).items()})
+        nf = _terms(action.fold(tail, ids, weight, factor))
+        accumulate(out, coeff, {(tag, (tail, v)): c for v, c in nf.items()})
     return out
 
 
@@ -281,23 +379,23 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
 
     where the maps are right multiplications by (a0, bn), the 2x2 matrix
     [[l(1,n), -b0 bn], [-an a0, l(n,0)]], (b0, an), and the projection onto
-    loop monomials in l(0,1)..l(0,n-1)."""
+    loop monomials in l(0,1)..l(0,n-1).
+
+    One right-action table (``_RightAction``) serves every degree, so the
+    products of a degree start from the entries of the degrees before it:
+    their sources' prefixes and the first arrows of b0 bn and an a0 were
+    multiplied there. Each (irreducible word, arrow) product is searched
+    and rewritten once per check."""
     D = max_degree
     system = appendix_system(n, D + 3)
     q: AppendixQuiver = system.quiver  # type: ignore[assignment]
+    action = _RightAction(system)
     one = QQ(1)
 
-    def w(tail: int, ids: Tuple[int, ...]) -> Word:
-        return (tail % (n + 1), ids)
-
-    a0 = w(0, (q.a(0),))
-    bn = w(0, (q.b(n),))
-    l1n = w(1, (q.loop(1, n),))
-    ln0 = w(n, (q.loop(n, 0),))
-    b0bn = w(1, (q.b(0), q.b(n)))
-    ana0 = w(n, (q.a(n), q.a(0)))
-    b0 = w(1, (q.b(0),))
-    an = w(n, (q.a(n),))
+    # the factors as arrow ids; each starts where its basis words end
+    a0, bn, b0, an = (q.a(0),), (q.b(n),), (q.b(0),), (q.a(n),)
+    l1n, ln0 = (q.loop(1, n),), (q.loop(n, 0),)
+    b0bn, ana0 = (q.b(0), q.b(n)), (q.a(n), q.a(0))
     middle_loops = set(q.loop(0, i) for i in range(1, n))
     bases: Dict[Tuple[int, int], List[Word]] = {}
 
@@ -318,17 +416,17 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
         v3 = basis(0, d + 4)
         ed4 = euler_count(n, d + 4)
 
-        d4 = {h: _image_vec(system, h, [(a0, one, 0), (bn, one, 1)]) for h in v0}
+        d4 = {h: _image_vec(action, h, d, [(a0, one, 0), (bn, one, 1)]) for h in v0}
         d3 = {}
         for f in v1a:
-            d3[(0, f)] = _image_vec(system, f, [(l1n, one, 0), (b0bn, -one, 1)])
+            d3[(0, f)] = _image_vec(action, f, d + 1, [(l1n, one, 0), (b0bn, -one, 1)])
         for g in v1b:
-            d3[(1, g)] = _image_vec(system, g, [(ana0, -one, 0), (ln0, one, 1)])
+            d3[(1, g)] = _image_vec(action, g, d + 1, [(ana0, -one, 0), (ln0, one, 1)])
         d2 = {}
         for f in v2a:
-            d2[(0, f)] = _image_vec(system, f, [(b0, one, 0)])
+            d2[(0, f)] = _image_vec(action, f, d + 3, [(b0, one, 0)])
         for g in v2b:
-            d2[(1, g)] = _image_vec(system, g, [(an, one, 0)])
+            d2[(1, g)] = _image_vec(action, g, d + 3, [(an, one, 0)])
 
         chain_ok = all(not combine(d4[h], d3.__getitem__) for h in v0) and \
             all(not combine(d3[k], d2.__getitem__) for k in d3)

@@ -76,5 +76,5 @@ class RowSpace:
 def rank_of(vectors) -> int:
     space = RowSpace()
     for v in vectors:
-        space.insert(dict(v))
+        space.insert(v)
     return space.rank

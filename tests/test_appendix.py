@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qpcalc.appendix import (
     BAD,
     EMPTY,
+    _RightAction,
+    _terms,
     appendix_checks,
     appendix_quiver,
     appendix_system,
@@ -21,6 +23,7 @@ from qpcalc.appendix import (
 )
 from qpcalc.jacobi import all_paths
 from qpcalc.linalg import accumulate
+from qpcalc.rewrite import ReductionSystem
 from qpcalc.series import NCElement
 
 
@@ -256,21 +259,61 @@ def _system_below_14(n):
     return appendix_system(n, 14)
 
 
+@lru_cache(maxsize=None)
+def _action_below_14(n):
+    # one table per system, so later examples also read entries earlier ones filled
+    return _RightAction(_system_below_14(n))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.data())
 def test_normal_forms_fold_one_arrow_at_a_time(data):
-    # NF(u·a·b) = NF(NF(u·a)·b): after completion NF respects right multiplication
-    n = data.draw(st.integers(2, 4))
+    # NF(u·a·b) = NF(NF(u·a)·b) on the confluent system, and the right-action
+    # table's entries for u·a and u·a·b are the engine's NF of the whole product
+    n = data.draw(st.integers(1, 4))
     system = _system_below_14(n)
     q = system.quiver
     head = data.draw(st.integers(0, n))
-    u = data.draw(st.sampled_from(irreducible_words_oracle(q, head, data.draw(st.integers(0, 9)))))
-    a = data.draw(st.sampled_from(q.arrows_by_tail[head]))
-    b = data.draw(st.sampled_from(q.arrows_by_tail[a.head]))
+    weight = data.draw(st.integers(0, 13))
+    tail, ids = data.draw(st.sampled_from(irreducible_words_oracle(q, head, weight)))
+    a = data.draw(st.sampled_from(q.arrows_by_tail[head])).index
+    b = data.draw(st.sampled_from(q.arrows_by_tail[q.arrows[a].head])).index
+
+    def nf(word):
+        # zero at or above the truncation
+        return system.normal_form_word(word) if q.weight_of(word) < 14 else {}
+
     folded = {}
-    for v, c in system.normal_form_word((u[0], u[1] + (a.index,))).items():
-        accumulate(folded, c, system.normal_form_word((v[0], v[1] + (b.index,))))
-    assert folded == system.normal_form_word((u[0], u[1] + (a.index, b.index)))
+    for v, c in nf((tail, ids + (a,))).items():
+        accumulate(folded, c, nf((v[0], v[1] + (b,))))
+    assert folded == nf((tail, ids + (a, b)))
+    for arrows in ((a,), (a, b)):
+        entry = _terms(_action_below_14(n).fold(tail, ids, weight, arrows))
+        assert {(tail, v): c for v, c in entry.items()} == nf((tail, ids + arrows))
+
+
+def test_exactness_searches_each_word_once(monkeypatch):
+    # every (basis word, arrow) product is searched and rewritten once per
+    # check, however many products share it as a prefix
+    import qpcalc.appendix as appendix
+
+    searched = []
+    find_redex = ReductionSystem._find_redex
+    build = appendix.appendix_system
+
+    def recording(self, word):
+        searched.append(word)
+        return find_redex(self, word)
+
+    def built(n, truncation):
+        system = build(n, truncation)
+        searched.clear()  # building reduces the relations, whose words the check meets again
+        return system
+
+    monkeypatch.setattr(ReductionSystem, "_find_redex", recording)
+    monkeypatch.setattr(appendix, "appendix_system", built)
+    assert exactness_check(3, 9)["pass"]
+    assert searched and len(searched) == len(set(searched))
 
 
 def test_exactness_enumerates_each_basis_once(monkeypatch):

@@ -58,9 +58,11 @@ def test_derivative_relations_shape():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README's double_an(2) example, whose full algebra reads (30, LowerBound) at D = 8,
-# then an element on another quiver handed to the rewriting engine
+# then an element on another quiver handed to the rewriting engine, then a loop
+# index past n and n = 0 given to the cyclic quiver
 PRECONDITION_SCRIPT = """
 from qpcalc import double_an, jdim, x_monomial
+from qpcalc.appendix import appendix_quiver, exactness_check
 from qpcalc.field import PreconditionError
 from qpcalc.rewrite import ReductionSystem
 from qpcalc.series import NCElement
@@ -70,7 +72,8 @@ f = (x_monomial(q, D, [(1, False), (2, False)]) + x_monomial(q, D, [(2, True), (
 system = ReductionSystem(q, D)
 other = NCElement.lazy(double_an(3), D, 1)
 for call in (lambda: jdim(f, quotient_vertices=(99,)).as_pair(),
-             lambda: system.reduce(other), lambda: system.add_relation(other)):
+             lambda: system.reduce(other), lambda: system.add_relation(other),
+             lambda: appendix_quiver(2).loop(0, 5), lambda: exactness_check(0, 8)):
     try:
         print(call())
     except PreconditionError as exc:
@@ -94,6 +97,8 @@ def test_unknown_vertex_check_survives_optimize():
             "PreconditionError: no vertices [99] to delete",
             "PreconditionError: the element and the reduction system are on different quivers",
             "PreconditionError: the element and the reduction system are on different quivers",
+            "PreconditionError: loop index 5 is outside 0..2",
+            "PreconditionError: the cyclic quiver needs n >= 1, not 0",
         ]
 
 
