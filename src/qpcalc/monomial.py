@@ -15,15 +15,18 @@ The pipeline:
 1. ``_unit_middles``: rescale the a-arrows so all consecutive products
    carry coefficient 1;
 2. ``_funnel``, degree by degree from 2: remove the junk of one degree,
-   the largest ((top slot, top count), ids) first. At degree 2 the junk
-   is skips, products x_{s-1}' x_{s+1} jumping over a loop, removed by
-   a_s -> a_s - coeff * x_{s-1}'; above it, a substitution trades each
-   cycle for cycles whose top slot multiplicity is strictly smaller,
-   until only pure powers remain.
+   the largest ((top slot, top count), ids) first, each term by the one
+   move ``_removal`` reads off it, a_s -> a_s - coeff * context with s
+   one below the term's top slot. The move cancels the term through the
+   consecutive product x_s' x_{s+1}. At degree 2 the junk is skips,
+   products x_{s-1}' x_{s+1} jumping over a loop, whose context is
+   x_{s-1}'; above it, each move trades a cycle for cycles whose top slot
+   multiplicity is strictly smaller, until only pure powers remain.
 
 ``_step`` records each exact substitution, so composing them reproduces the
 output from the input on the nose; ``a3.normalize`` shares ``_step``,
-``_unit_middles`` and ``_funnel``. The funnel stops after MAX_PASSES passes with an AssertionError, which -O keeps.
+``_unit_middles`` and ``_funnel``. The funnel stops after MAX_PASSES passes
+with an AssertionError, which -O keeps.
 """
 
 from __future__ import annotations
@@ -157,53 +160,33 @@ def potential_from_kappa(q: DoubledPathQuiver, truncation: int,
     return f
 
 
-# -- step 2: removal substitutions ----------------------------------------------
+# -- step 2: the removal rule ---------------------------------------------------
 
 
-def _skip_substitution(f: Potential, coeff: QQ, shape: Shape) -> Substitution:
-    """Kill coeff * x_{s-1}' x_{s+1}, of the given shape, via a_s -> a_s - coeff * x_{s-1}'."""
-    q = f.quiver
-    s = shape[2] + 1
-    assert q.is_loop(s)
-    return Substitution.moves(q, f.truncation, {q.a_index(s): (1, {q.xprime_word(s - 1): -coeff})})
+def _removal(q: DoubledPathQuiver, word: Word, coeff: QQ,
+             shape: Shape) -> Tuple[int, Dict[Word, QQ]]:
+    """(a_s, {context: -coeff}): the move that removes junk coeff * word.
 
+    s = r - 1 for r = hi, the top slot. The pattern is the x_r block, then
+    b_s when s is an edge; the context is the rest of the cycle after the
+    pattern's first occurrence in ``ids + ids``, a path with a_s's endpoints.
+    Keys are canonical rotations, which begin with a_lo, lo < r, so the top
+    block never wraps round the end of ``ids`` and b_s never sits at
+    position 0 or 1. Ordering the occurrences by where the block starts or
+    by where their b_s sits gives the same first one, which both oracle
+    scans in ``tests/test_monomial.py`` pick.
 
-def _higher_substitution(f: Potential, word: Word, coeff: QQ, shape: Shape) -> Substitution:
-    """One removal pass for a cycle of the given shape touching at least two
-    slots, degree >= 3.
-
-    With r the cycle's top slot and s = r - 1, rotate so one full x_r
-    block sits at the end; the replacement a_s -> a_s - coeff * (context)
-    cancels the cycle through the consecutive product x_s' x_{s+1} and
-    only creates cycles with strictly smaller top-slot data.
+    The move cancels the term through the consecutive product x_s' x_{s+1}
+    (b_s a_s x_r at an edge slot, a_s x_r at a loop slot) at every degree;
+    a skip is the loop case at degree 2, with context x_{s-1}'. Every other
+    term it makes has smaller (top slot, top count) or a higher degree.
     """
-    q = f.quiver
-    _, deg, lo, hi, _top = shape
-    assert deg >= 3 and hi > lo
-    s = hi - 1
-    a_s, b_s = q.a_index(s), q.b_index(s)
+    s = shape[3] - 1
+    pattern = q.x_word(s + 1)[1] + (() if q.is_loop(s) else (q.b_index(s),))
     ids = word[1]
-    L = len(ids)
-    block = q.x_word(hi)[1]
-    blen = len(block)
-
-    if q.is_loop(s):
-        # rotate any full x_r block to the end; the context is the cycle at
-        # the loop vertex before it
-        doubled = ids + ids
-        k = next(i for i in range(L) if doubled[i : i + blen] == block)
-        start = (k + blen) % L
-        rot = ids[start:] + ids[:start]
-        assert rot[L - blen :] == block
-        context = rot[: L - blen]
-    else:
-        # x_s is an edge pair: rotate to start at a b_s immediately preceded
-        # by a complete x_r block, then drop that b_s and the block
-        k = next(i for i in range(L) if ids[i] == b_s and ids[(i - 1) % L] == block[-1])
-        rot = ids[k:] + ids[:k]
-        assert rot[0] == b_s and rot[L - blen :] == block
-        context = rot[1 : L - blen]
-    return Substitution.moves(q, f.truncation, {a_s: (1, {(q.left_vertex(s), context): -coeff})})
+    doubled = ids + ids
+    k = next(i for i in range(len(ids)) if doubled[i : i + len(pattern)] == pattern)
+    return q.a_index(s), {(q.left_vertex(s), doubled[k + len(pattern) : k + len(ids)]): -coeff}
 
 
 def monomialize(f: Potential) -> Tuple[Potential, MonomialReport, Substitution]:
@@ -252,6 +235,7 @@ def _unit_middles(f: Potential, steps: List[Substitution]) -> Potential:
 def _funnel(f: Potential, degree: int, steps: List[Substitution], min_top: int = 1) -> Potential:
     """Remove the junk of one ``degree`` >= 2 whose top slot count is at least
     ``min_top``, recording each step, the largest ((top slot, top count), ids) first.
+    Each step is the one move ``_removal`` reads off the chosen term.
 
     The key makes the order of steps a function of the potential, not of its
     term order. At degree 2 the order does not even matter: a skip at loop
@@ -262,14 +246,13 @@ def _funnel(f: Potential, degree: int, steps: List[Substitution], min_top: int =
     are thus the same set in any order, they commute, and ``compose_chain``
     gives the same map.
     """
+    q, D = f.quiver, f.truncation
     for _ in range(MAX_PASSES):
         junk = [item for item in read_terms(f)[2] if item[2][1] == degree and item[2][4] >= min_top]
         if not junk:
             return f
-        word, coeff, shape = max(junk, key=lambda it: (it[2][3:], it[0][1]))
-        sub = (_skip_substitution(f, coeff, shape) if degree == 2
-               else _higher_substitution(f, word, coeff, shape))
-        f = _step(f, sub, steps)
+        arrow, extra = _removal(q, *max(junk, key=lambda it: (it[2][3:], it[0][1])))
+        f = _step(f, Substitution.moves(q, D, {arrow: (1, extra)}), steps)
     raise AssertionError(f"junk of degree {degree} left after {MAX_PASSES} passes")
 
 
@@ -322,11 +305,14 @@ def _neighbors(q: DoubledPathQuiver, D: int, s: int) -> NCElement:
 def add_loop(f: Potential, vertex: int) -> Potential:
     """Insert a loop at a loopless vertex; the result is monomial Type A
     with coefficient -1/2 on the new loop's square and the same Jacobi
-    algebra after deleting nothing (the two presentations correspond)."""
+    algebra after deleting nothing (the two presentations correspond).
+    PreconditionError when f is not monomial or the vertex has a loop."""
     q = f.quiver
     assert isinstance(q, DoubledPathQuiver)
-    assert vertex in q.loopless, "vertex already carries a loop"
-    assert extract_monomial(f) is not None, "input must be monomial"
+    if vertex not in q.loopless:
+        raise PreconditionError(f"vertex {vertex} is not a loopless vertex")
+    if extract_monomial(f) is None:
+        raise PreconditionError("input must be monomial")
     new_q = double_an(q.n, sorted(q.loopless - {vertex}))
     t = new_q.loop_slot(vertex)
     slot_map = {i: (i if i < t else i + 1) for i in range(1, q.m + 1)}
@@ -345,15 +331,19 @@ def eliminate_loop(f: Potential, vertex: int) -> Potential:
     """Remove the loop at ``vertex`` from a monomial potential whose loop
     square there has an invertible coefficient, by substituting the unique
     series solving the loop's derivative equation, then renormalizing on
-    the smaller quiver."""
+    the smaller quiver. PreconditionError when f is not monomial, the
+    vertex has no loop or the loop square's coefficient is zero."""
     q = f.quiver
     assert isinstance(q, DoubledPathQuiver)
     mono = extract_monomial(f)
-    assert mono is not None, "input must be monomial"
+    if mono is None:
+        raise PreconditionError("input must be monomial")
     s = q.loop_slot(vertex)
-    assert s is not None, "vertex carries no loop"
+    if s is None:
+        raise PreconditionError(f"vertex {vertex} carries no loop")
     k2 = mono.kappa_at(s, 2)
-    assert k2 != 0, "loop square coefficient must be invertible"
+    if k2 == 0:
+        raise PreconditionError("loop square coefficient must be invertible")
     D = f.truncation
 
     neighbors = _neighbors(q, D, s)

@@ -338,24 +338,33 @@ def test_a3_preconditions_raise(case):
         eval(call, namespace)
 
 
+# argv holds (case name, call) pairs; one line per case, "<name>: <outcome>"
 A3_SCRIPT = """
 import sys
 from qpcalc.a3 import A3Class, classify, derived_orbit, lambda_orbit, xy_potential
 from qpcalc.field import QQ, PreconditionError
-try:
-    print(eval(sys.argv[1]))
-except PreconditionError as exc:
-    print("PreconditionError:", exc)
+for name, call in zip(sys.argv[1::2], sys.argv[2::2]):
+    try:
+        print(f"{name}: {eval(call)}")
+    except PreconditionError as exc:
+        print(f"{name}: PreconditionError: {exc}")
 """
 
 
-@pytest.mark.parametrize("case", sorted(A3_PRECONDITIONS))
-def test_a3_preconditions_survive_optimize(case):
-    # under -O an assert would let 1/4 reach a division by 1 - 4 lam, and a
-    # potential without xy reach the end of normalize
-    call, message = A3_PRECONDITIONS[case]
+@pytest.fixture(scope="module")
+def optimized_a3_outcomes():
+    """The whole A3_PRECONDITIONS table run in one python -O interpreter, by case name."""
+    argv = [arg for case in sorted(A3_PRECONDITIONS) for arg in (case, A3_PRECONDITIONS[case][0])]
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-O", "-c", A3_SCRIPT, call], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", A3_SCRIPT, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == f"PreconditionError: {message}\n"
+    return [line.split(": ", 1) for line in proc.stdout.splitlines()]
+
+
+@pytest.mark.parametrize("case", sorted(A3_PRECONDITIONS))
+def test_a3_preconditions_survive_optimize(case, optimized_a3_outcomes):
+    # under -O an assert would let 1/4 reach a division by 1 - 4 lam, and a
+    # potential without xy reach the end of normalize
+    assert [name for name, _ in optimized_a3_outcomes] == sorted(A3_PRECONDITIONS)
+    assert dict(optimized_a3_outcomes)[case] == f"PreconditionError: {A3_PRECONDITIONS[case][1]}"

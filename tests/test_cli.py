@@ -223,6 +223,20 @@ def test_a3_flop_and_orbit(tmp_path, capsys):
     assert payload["gv"] == [1, 1, 1, 1, 1, 1]
 
 
+def test_orbit_family_and_diamond_n_are_library_preconditions(tmp_path, capsys):
+    # x^2 + xy is family 5, outside derived_orbit's finite families; n = 0 has no
+    # cyclic quiver. The library states both checks, and qp reports them as such
+    cases = [(["a3", "orbit", "--input", two_cycle_file(tmp_path, ky="0")],
+              "orbit is defined for the finite-dimensional families")]
+    cases += [(["diamond", "--n", "0", "--check", check], "the cyclic quiver needs n >= 1, not 0")
+              for check in ("overlaps", "basis", "recursion", "exactness")]
+    for argv, message in cases:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qp: precondition failed: {message}\n"
+
+
 def test_a3_apq_orbit(capsys):
     code, payload = run(capsys, "a3", "apq", "--p", "2", "--q", "2", "--mu", "2")
     assert code == 0

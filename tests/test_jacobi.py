@@ -59,11 +59,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README's double_an(2) example, whose full algebra reads (30, LowerBound) at D = 8,
 # then an element on another quiver handed to the rewriting engine, then a loop
-# index past n and n = 0 given to the cyclic quiver
+# index past n and n = 0 given to the cyclic quiver, then loop insertion and
+# elimination on a monomial potential with a loop at vertex 1 only (powers x_1^3
+# and x_2^3, so no loop square) and on its non-monomial double
 PRECONDITION_SCRIPT = """
-from qpcalc import double_an, jdim, x_monomial
+from qpcalc import add_loop, double_an, eliminate_loop, jdim, x_monomial
 from qpcalc.appendix import appendix_quiver, exactness_check
 from qpcalc.field import PreconditionError
+from qpcalc.monomial import potential_from_kappa
 from qpcalc.rewrite import ReductionSystem
 from qpcalc.series import NCElement
 q, D = double_an(2), 8
@@ -71,9 +74,13 @@ f = (x_monomial(q, D, [(1, False), (2, False)]) + x_monomial(q, D, [(2, True), (
      + x_monomial(q, D, [(1, False)] * 3) + x_monomial(q, D, [(3, False)] * 3))
 system = ReductionSystem(q, D)
 other = NCElement.lazy(double_an(3), D, 1)
+mono = potential_from_kappa(double_an(2, [2]), D, {(1, 3): 1, (2, 3): 1})
 for call in (lambda: jdim(f, quotient_vertices=(99,)).as_pair(),
              lambda: system.reduce(other), lambda: system.add_relation(other),
-             lambda: appendix_quiver(2).loop(0, 5), lambda: exactness_check(0, 8)):
+             lambda: appendix_quiver(2).loop(0, 5), lambda: exactness_check(0, 8),
+             lambda: add_loop(mono.scale(2), 2), lambda: add_loop(mono, 1),
+             lambda: eliminate_loop(mono.scale(2), 1), lambda: eliminate_loop(mono, 2),
+             lambda: eliminate_loop(mono, 1)):
     try:
         print(call())
     except PreconditionError as exc:
@@ -99,6 +106,11 @@ def test_unknown_vertex_check_survives_optimize():
             "PreconditionError: the element and the reduction system are on different quivers",
             "PreconditionError: loop index 5 is outside 0..2",
             "PreconditionError: the cyclic quiver needs n >= 1, not 0",
+            "PreconditionError: input must be monomial",
+            "PreconditionError: vertex 1 is not a loopless vertex",
+            "PreconditionError: input must be monomial",
+            "PreconditionError: vertex 2 carries no loop",
+            "PreconditionError: loop square coefficient must be invertible",
         ]
 
 

@@ -1,13 +1,15 @@
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qpcalc import QQ, double_an
+from qpcalc import QQ, double_an, monomial
+from qpcalc.a3 import a3_quiver, normalize, xy_potential
 from qpcalc.cycles import Potential, canonical_cycle, cycle_from_slots, x_monomial
 from qpcalc.jacobi import all_paths, fingerprint
 from qpcalc.series import NCElement
 from qpcalc.serialize import substitution_to_json
+from qpcalc.subst import Substitution
 from qpcalc.monomial import (
     PreconditionError,
     add_loop,
@@ -252,3 +254,118 @@ def test_monomialize_steps_do_not_depend_on_term_order(case):
     (g1, steps1), (g2, steps2) = runs
     assert [substitution_to_json(s) for s in steps1] == [substitution_to_json(s) for s in steps2]
     assert g1 == g2
+
+
+# -- the removal rule against the skip and higher rules, kept as its oracle ---------
+
+
+def _skip_substitution(q, D, coeff, shape):
+    """Kill coeff * x_{s-1}' x_{s+1}, of the given shape, via a_s -> a_s - coeff * x_{s-1}'."""
+    s = shape[2] + 1
+    assert q.is_loop(s)
+    return Substitution.moves(q, D, {q.a_index(s): (1, {q.xprime_word(s - 1): -coeff})})
+
+
+def _higher_substitution(q, D, word, coeff, shape):
+    """One removal pass for a cycle of the given shape touching at least two
+    slots, degree >= 3: with r the top slot and s = r - 1, rotate so one
+    full x_r block sits at the end, and move a_s by -coeff * (context)."""
+    _, deg, lo, hi, _top = shape
+    assert deg >= 3 and hi > lo
+    s = hi - 1
+    a_s, b_s = q.a_index(s), q.b_index(s)
+    ids = word[1]
+    L = len(ids)
+    block = q.x_word(hi)[1]
+    blen = len(block)
+    if q.is_loop(s):
+        # rotate any full x_r block to the end; the context is the cycle at
+        # the loop vertex before it
+        doubled = ids + ids
+        k = next(i for i in range(L) if doubled[i : i + blen] == block)
+        start = (k + blen) % L
+        rot = ids[start:] + ids[:start]
+        assert rot[L - blen :] == block
+        context = rot[: L - blen]
+    else:
+        # x_s is an edge pair: rotate to start at a b_s immediately preceded
+        # by a complete x_r block, then drop that b_s and the block
+        k = next(i for i in range(L) if ids[i] == b_s and ids[(i - 1) % L] == block[-1])
+        rot = ids[k:] + ids[:k]
+        assert rot[0] == b_s and rot[L - blen :] == block
+        context = rot[1 : L - blen]
+    return Substitution.moves(q, D, {a_s: (1, {(q.left_vertex(s), context): -coeff})})
+
+
+COEFFS = st.builds(QQ, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+
+
+@st.composite
+def type_a_potentials(draw):
+    """A reduced Type A potential on double_an(2..4), some vertices loopless:
+    consecutive products with drawn coefficients plus at least one junk term."""
+    n = draw(st.integers(2, 4))
+    # junk needs two slots, which only double_an(2, [1, 2]) lacks
+    loopless = tuple(sorted(draw(st.sets(st.integers(1, n), max_size=2 * n - 3))))
+    q, cycles = _cycles(n, loopless, 7)
+    D = draw(st.integers(8, 10))
+    kinds = {w: monomial.term_shape(q, w)[0] for w in cycles}
+    junk = [w for w in cycles if kinds[w] in ("skip", "other")]
+    # pure powers of degree 3 and up, so the input stays reduced
+    powers = [w for w in cycles if kinds[w] == "power" and sum(q.x_degrees(w)) >= 3]
+    # skips are few among the junk cycles, so draw them often
+    skips = [w for w in junk if kinds[w] == "skip"]
+    terms = st.sampled_from(junk)
+    if skips:
+        terms = st.one_of(st.sampled_from(skips), terms)
+    f = base(q, D, {i: draw(COEFFS) for i in range(1, q.m)})
+    for word in draw(st.lists(terms, min_size=1, max_size=5, unique=True)):
+        f.add_cycle(word, draw(COEFFS))
+    for word in draw(st.lists(st.sampled_from(powers), max_size=3, unique=True)):
+        f.add_cycle(word, draw(COEFFS))
+    return f
+
+
+@st.composite
+def two_loop_potentials(draw):
+    """A potential in x, y with a nonzero xy at D = 12, sometimes with the
+    degenerate square x^2 + xy + y^2/4 that makes the funnel collect into x^d."""
+    table = {(1, 1): draw(COEFFS)}
+    if draw(st.booleans()):
+        table.update({(2, 0): QQ(1), (0, 2): table[(1, 1)] ** 2 / 4})
+    # one mixed term the funnel must remove, then any terms of degree 2..5
+    table[draw(st.sampled_from([(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 4)]))] = draw(COEFFS)
+    terms = [(i, j) for i in range(6) for j in range(6) if 2 <= i + j <= 5 and (i, j) != (1, 1)]
+    for key in draw(st.lists(st.sampled_from(terms), max_size=4, unique=True)):
+        table.setdefault(key, draw(COEFFS))
+    return xy_potential(12, table)
+
+
+def _images_and_entries(sub):
+    return [(i, list(el.terms.items())) for i, el in sub.images.items()], list(sub._entries.items())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.one_of(type_a_potentials(), two_loop_potentials()))
+def test_removal_matches_the_skip_and_higher_rules(f):
+    # every move the funnel makes, on the Type A and the two-loop path alike,
+    # is the move the degree-2 skip rule or the higher rule made; each call
+    # is checked as it is made, so a wrong move fails before the funnel runs on
+    D, real, calls = f.truncation, monomial._removal, []
+
+    def checked(q, word, coeff, shape):
+        arrow, extra = real(q, word, coeff, shape)
+        oracle = (_skip_substitution(q, D, coeff, shape) if shape[1] == 2
+                  else _higher_substitution(q, D, word, coeff, shape))
+        ours = Substitution.moves(q, D, {arrow: (1, extra)})
+        assert _images_and_entries(ours) == _images_and_entries(oracle)
+        calls.append(shape)
+        return arrow, extra
+
+    monomial._removal = checked
+    try:
+        normalize(f) if f.quiver is a3_quiver() else monomialize(f)
+    finally:
+        monomial._removal = real
+    # a substitution step of normalize may cancel the drawn mixed term
+    assume(calls)

@@ -333,6 +333,7 @@ SUBST_PRECONDITIONS = {
         "the element and the substitution are on different quivers"),
 }
 
+# argv holds (case name, call) pairs; one line per case, "<name>: <outcome>"
 SUBST_SCRIPT = """
 import sys
 from qpcalc.field import PreconditionError
@@ -341,11 +342,12 @@ from qpcalc.series import NCElement
 from qpcalc.subst import Substitution, compose
 q = double_an(3, [1, 2, 3])
 a1, b1 = q.by_name["a1"].index, q.by_name["b1"].index
-try:
-    eval(sys.argv[1])
-    print("no error")
-except PreconditionError as exc:
-    print("PreconditionError:", exc)
+for name, call in zip(sys.argv[1::2], sys.argv[2::2]):
+    try:
+        eval(call)
+        print(f"{name}: no error")
+    except PreconditionError as exc:
+        print(f"{name}: PreconditionError: {exc}")
 """
 
 
@@ -361,12 +363,21 @@ def test_substitution_preconditions_raise(case):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("case", sorted(SUBST_PRECONDITIONS))
-def test_substitution_preconditions_survive_optimize(case):
-    # the gain filter trusts these checks, so -O must not strip them
-    call, message = SUBST_PRECONDITIONS[case]
+@pytest.fixture(scope="module")
+def optimized_subst_outcomes():
+    """The whole SUBST_PRECONDITIONS table run in one python -O interpreter, by case name."""
+    argv = [arg for case in sorted(SUBST_PRECONDITIONS)
+            for arg in (case, SUBST_PRECONDITIONS[case][0])]
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-O", "-c", SUBST_SCRIPT, call], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", SUBST_SCRIPT, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == f"PreconditionError: {message}\n"
+    return [line.split(": ", 1) for line in proc.stdout.splitlines()]
+
+
+@pytest.mark.parametrize("case", sorted(SUBST_PRECONDITIONS))
+def test_substitution_preconditions_survive_optimize(case, optimized_subst_outcomes):
+    # the gain filter trusts these checks, so -O must not strip them
+    assert [name for name, _ in optimized_subst_outcomes] == sorted(SUBST_PRECONDITIONS)
+    assert dict(optimized_subst_outcomes)[case] == \
+        f"PreconditionError: {SUBST_PRECONDITIONS[case][1]}"
