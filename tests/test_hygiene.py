@@ -167,11 +167,17 @@ def test_imports_sit_at_module_level(path):
 
 # helpers with one caller each: term_shape classifies a potential's terms
 # for read_terms alone, _advance steps the lead trie for the one walker
-# over irreducible words, and the one removal rule serves the one
-# junk-removal loop
+# over irreducible words, the one removal rule serves the one junk-removal
+# loop, and the skip and higher rules, kept in the monomial tests as the
+# removal rule's oracle, serve the one check that compares them with it
 ONE_CALLER = {"term_shape": "monomial.read_terms",
               "_advance": "rewrite.ReductionSystem.irreducible_table",
-              "_removal": "monomial._funnel"}
+              "_removal": "monomial._funnel",
+              "_skip_substitution": "test_monomial.test_removal_matches_the_skip_and_higher_rules.checked",
+              "_higher_substitution": "test_monomial.test_removal_matches_the_skip_and_higher_rules.checked"}
+
+# a test-local helper is looked for in its own test module as well
+TEST_MODULES = {"test_monomial": ROOT / "tests" / "test_monomial.py"}
 
 
 def _calls(callee: str):
@@ -186,7 +192,8 @@ def _calls(callee: str):
 @pytest.mark.parametrize("callee", sorted(ONE_CALLER))
 def test_helpers_keep_their_one_caller(callee):
     found = set()
-    for path in MODULES:
+    home = ONE_CALLER[callee].split(".", 1)[0]
+    for path in MODULES + ([TEST_MODULES[home]] if home in TEST_MODULES else []):
         found.update(_scopes_where(ast.parse(path.read_text(), filename=str(path)), path.stem,
                                    _calls(callee)))
     assert found == {ONE_CALLER[callee]}, f"{callee} is called from {sorted(found)}"
