@@ -40,10 +40,10 @@ f = (
 )
 print("recognition:", type_a_report(f).kind)
 
-g, mono, witness = monomialize(f)
+g, table, witness = monomialize(f)
 # dissolving x1^2 x2 feeds back into higher powers of x1 at every degree,
 # so the table carries a truncated tail of correction coefficients
-print("power table:", {k: str(v) for k, v in sorted(mono.kappa.items())})
+print("power table:", {k: str(v) for k, v in sorted(table.items())})
 print("witness reproduces the output:", witness.apply_potential(f) == g)
 print("counts preserved:", jdim(f).counts == jdim(g).counts)
 print("dimension:", jdim(g).value, jdim(g).certificate)
@@ -58,6 +58,6 @@ h = (
 )
 before = fingerprint(h)
 with_loop = add_loop(h, 2)
-print("new loop coefficient:", extract_monomial(with_loop).kappa[(2, 2)])
+print("new loop coefficient:", extract_monomial(with_loop)[(2, 2)])
 back = eliminate_loop(with_loop, 2)
 print("round trip keeps the fingerprint:", fingerprint(back) == before == fingerprint(with_loop))

@@ -13,7 +13,6 @@ from qpcalc import (
     QQ,
     a3_realize,
     contraction_relations,
-    double_an,
     emit_presentation,
     h_row,
     jacobi_relations,
@@ -50,7 +49,7 @@ print("table row matches:", data["h"] == [str(h) for h in h_row(1, QQ(1, 3))])
 
 # the presentation relations and the potential derivatives agree below
 # the working degree
-q3 = double_an(3)
+relations = [el for _label, el in contraction_relations(n, table, 12)]
+q3 = relations[0].quiver
 f = potential_from_kappa(q3, 12, table)
-relations = [el for _label, el in contraction_relations(n, table, 12, quiver=q3)]
 print("same ideal as the derivatives:", same_ideal_below(q3, relations, jacobi_relations(f), 12))

@@ -44,12 +44,6 @@ def a3_quiver() -> DoubledPathQuiver:
     return double_an(3, (1, 2, 3))
 
 
-def require_a3_quiver(q) -> None:
-    """Raise PreconditionError unless ``q`` is the loopless 3-vertex doubled path."""
-    if not (isinstance(q, DoubledPathQuiver) and q.n == 3 and q.loopless == frozenset({1, 2, 3})):
-        raise PreconditionError("classification expects the loopless three-vertex doubled path")
-
-
 def xy_word(q: DoubledPathQuiver, i: int, j: int) -> Word:
     """The cycle x^i y^j at the middle vertex."""
     return cycle_from_slots(q, [(1, True)] * i + [(2, False)] * j)
@@ -124,7 +118,8 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
     output from the input exactly. Raises PreconditionError off ``a3_quiver()``.
     """
     q = f.quiver
-    require_a3_quiver(q)
+    if not (isinstance(q, DoubledPathQuiver) and q.n == 3 and q.loopless == frozenset({1, 2, 3})):
+        raise PreconditionError("classification expects the loopless three-vertex doubled path")
     D = f.truncation
     steps: List[Substitution] = []
     f = _unit_middles(f, steps)
@@ -177,9 +172,9 @@ def normalize(f: Potential) -> Tuple[Potential, Substitution]:
                 assert _coeff_xy(f, d, 0) == 0 and _coeff_xy(f, d - 1, 1) == 0
                 assert not _junk_of_degree(f, d)
 
-    mono = extract_monomial(f)
+    table = extract_monomial(f)
     expected = () if (not det0 or s_star is None) else (s_star,)
-    if mono is None or _higher_powers(mono.kappa) != expected:
+    if table is None or _higher_powers(table) != expected:
         raise AssertionError("normalization left junk")
     return f, compose_chain(steps, q, D)
 
@@ -207,69 +202,49 @@ def scaling(q: DoubledPathQuiver, trunc: int, a: QQ, b: QQ) -> Substitution:
     return Substitution.moves(q, trunc, {q.a_index(i): (c, {}) for i, c in ((1, a), (2, b)) if c != 1})
 
 
-def _normalizer(q, trunc, family, k1, p, k2, qq, mu, s):
-    """Rescale to the unit-coefficient form, when the needed root is rational.
-
-    Returns (substitution, scale) with substitution(f) = scale * canonical,
-    or (None, 1) when the root is irrational.
-    """
-    one = QQ(1)
-    if family in (1, 4):
-        root = nth_root(k1, 2)
-        if root is None:
-            return None, one
-        return scaling(q, trunc, 1 / root, root), one
-    if family == 2:
-        a = nth_root(k1 / mu, s - 2)
-        if a is None:
-            return None, one
-        b = k1 * a
-        return scaling(q, trunc, a, b), a * b
-    if family == 3:
-        exp = (p - 1) * (qq - 1) - 1
-        a = nth_root(k1 ** (1 - qq) / k2, exp)
-        if a is None:
-            return None, one
-        b = k1 * a ** (p - 1)
-        return scaling(q, trunc, a, b), a * b
-    if family == 5:
-        return scaling(q, trunc, one, k1), k1
-    if family == 6:
-        return scaling(q, trunc, k2, one), k2
-    return Substitution.identity(q, trunc), one
-
-
 def classify(f: Potential) -> A3Class:
-    """Family and parameters of a potential containing xy."""
+    """Family and parameters of a potential containing xy, with an exact
+    normalizer when the root it needs is rational.
+
+    The normalizer is the witness of ``normalize`` followed by the scaling
+    x -> a x, y -> b y that takes the normal form g to scale * canonical.
+    The scale is always a b: the scaling multiplies xy by a b, and xy has
+    coefficient 1 in both forms. Every other term of g must pick up a b
+    too. For the lowest x power k1 x^p that forces b = k1 a^(p-1); without
+    one, b = 1 and a = k2 matches k2 y^q. Each family branch sets a: in
+    families 2 and 3 so that the second power matches as well, in 1 and 4
+    so that the scale is 1. a is None when that needs an irrational root.
+    """
     g, witness = normalize(f)
-    kappa = extract_monomial(g).kappa
+    kappa = extract_monomial(g)
     (p, k1), (qq, k2) = _lowest(kappa, 1), _lowest(kappa, 2)
     higher = _higher_powers(kappa)
-    mu = s = None
+    one = QQ(1)
     # normalize leaves at most one extra pure power, mu x^s, and only when
     # the square is degenerate
     if higher:
-        family = 2
         (s,) = higher
-        mu = kappa[(1, s)]
-        params: Tuple = (s,)
+        family, params = 2, (s,)
+        a = nth_root(k1 / kappa[(1, s)], s - 2)
     elif p and qq:
         if p == 2 and qq == 2:
             lam = k1 * k2
-            family = 4 if 4 * lam == 1 else 1
-            params = () if family == 4 else (lam,)
+            family, params = (4, ()) if 4 * lam == 1 else (1, (lam,))
+            a = nth_root(1 / k1, 2)
         else:
-            family = 3
-            params = (p, qq)
+            family, params = 3, (p, qq)
+            a = nth_root(k1 ** (1 - qq) / k2, (p - 1) * (qq - 1) - 1)
     elif p:
-        family, params = 5, (p,)
+        family, params, a = 5, (p,), one
     elif qq:
-        family, params = 6, (qq,)
+        family, params, a = 6, (qq,), k2
     else:
-        family, params = 7, ()
-    normalizer, scale = _normalizer(g.quiver, g.truncation, family, k1, p, k2, qq, mu, s)
-    if normalizer is not None:
-        normalizer = compose(witness, normalizer)
+        family, params, a = 7, (), one
+    normalizer, scale = None, one
+    if a is not None:
+        b = k1 * a ** (p - 1) if p else one
+        normalizer = compose(witness, scaling(g.quiver, g.truncation, a, b))
+        scale = a * b
     return A3Class(
         family=family,
         parameters=params,

@@ -31,7 +31,6 @@ from .a3 import (
     derived_orbit,
     flop,
     gv_set,
-    require_a3_quiver,
     scaling,
 )
 from .appendix import appendix_checks, exactness_check
@@ -120,12 +119,12 @@ def cmd_jdim(args) -> int:
 
 def cmd_monomialize(args) -> int:
     f = _load_potential(args)
-    g, mono, sub = monomialize(f)
+    g, table, sub = monomialize(f)
     soundness = sub.apply_potential(f) == g
     before, after = jdim(f), jdim(g)
     dim_invariant = before.counts == after.counts and before.certificate == after.certificate
     payload: Dict[str, object] = {
-        "kappa": kappa_to_json(f.quiver.n, mono.kappa)["kappa"],
+        "kappa": kappa_to_json(table),
         "trusted_below": f.truncation,
         "checks": {"soundness": soundness, "dim_invariant": dim_invariant},
     }
@@ -184,12 +183,10 @@ def cmd_realize(args) -> int:
 
 def _load_two_cycle(args) -> Potential:
     f = _load_potential(args)
-    require_a3_quiver(f.quiver)
-    # the crossing xy is the consecutive product x_1' x_2
+    # the crossing xy is the consecutive product x_1' x_2; classify rejects
+    # a potential without it, or on another quiver
     crossing = type_a_report(f).middle_coeffs.get(1, ZERO)
-    if crossing == 0:
-        raise CLIError("classification needs a nonzero crossing term a1*b1*a2*b2")
-    if crossing != 1:
+    if crossing not in (0, 1):
         f = scaling(f.quiver, f.truncation, 1 / crossing, QQ(1)).apply_potential(f)
     return f
 

@@ -86,8 +86,9 @@ def _count_run(quiver: Quiver, relations: List[NCElement], truncation: int) -> T
     return counts, closed
 
 
-def jdim(f: Potential, truncation: Optional[int] = None, quotient_vertices: Sequence[int] = ()) -> DimensionReport:
-    """Dimension of Jac(f), optionally after deleting vertex idempotents.
+def jdim(f: Potential, quotient_vertices: Sequence[int] = ()) -> DimensionReport:
+    """Dimension of Jac(f) below f's truncation, optionally after deleting
+    vertex idempotents; ``f.truncate(D)`` gives the dimension below D.
 
     One completion at D decides the certificate: ``Exact`` exactly when
     its trailing window is closed (see ``_count_run``). A second
@@ -106,8 +107,8 @@ def jdim(f: Potential, truncation: Optional[int] = None, quotient_vertices: Sequ
     So the D+2 run is closed with counts padded by two zeros whenever
     the D run is closed.
     """
-    truncation = truncation or f.truncation
-    relations = jacobi_relations(f.truncate(truncation))
+    truncation = f.truncation
+    relations = jacobi_relations(f)
     quiver = f.quiver
     if quotient_vertices:
         quiver, relations = delete_vertices(quiver, relations, quotient_vertices)
@@ -121,13 +122,13 @@ class Fingerprint:
     ends: Tuple[Tuple[int, str], Tuple[int, str]]  # sorted pair
 
 
-def fingerprint(f: Potential, truncation: Optional[int] = None) -> Fingerprint:
+def fingerprint(f: Potential) -> Fingerprint:
     """(dim, unordered {dim after deleting vertex 1, ... vertex n})."""
     q = f.quiver
     assert isinstance(q, DoubledPathQuiver)
-    total = jdim(f, truncation).as_pair()
-    left = jdim(f, truncation, quotient_vertices=[1]).as_pair()
-    right = jdim(f, truncation, quotient_vertices=[q.n]).as_pair()
+    total = jdim(f).as_pair()
+    left = jdim(f, quotient_vertices=[1]).as_pair()
+    right = jdim(f, quotient_vertices=[q.n]).as_pair()
     return Fingerprint(total, tuple(sorted([left, right])))
 
 
@@ -202,17 +203,18 @@ class CommutativityReport:
 GENERATION_DEGREE = 6
 
 
-def vertex_commutativity(f: Potential, truncation: Optional[int] = None) -> CommutativityReport:
-    """Check each vertex subalgebra e_v Jac(f) e_v is commutative mod m^D.
+def vertex_commutativity(f: Potential) -> CommutativityReport:
+    """Check each vertex subalgebra e_v Jac(f) e_v is commutative mod m^D,
+    D the truncation of f.
 
     Generators: irreducible cycles at the vertex of weight 1 to
     GENERATION_DEGREE (6), listed through ``irreducible_table`` with the
     arrow ids as caller state. The first nonvanishing commutator is
     returned as a witness.
     """
-    truncation = truncation or f.truncation
+    truncation = f.truncation
     q = f.quiver
-    relations = jacobi_relations(f.truncate(truncation))
+    relations = jacobi_relations(f)
     system = system_from_relations(q, truncation, relations)
     table = system.irreducible_table(min(GENERATION_DEGREE + 1, truncation), (),
                                      lambda ids, a: ids + (a,))

@@ -10,6 +10,11 @@ term into pure powers (the kappa table), consecutive products, or junk:
 every other term, the ones a monomial potential lacks. Junk comes with
 its shape, so the steps below read the slots they act on from it.
 
+A monomial potential is known by its power table, a plain dict from
+(slot i, power j) to the coefficient of x_i^j: ``extract_monomial`` reads
+it off (None when the potential is not monomial), ``monomialize`` returns
+it with its output, and ``potential_from_kappa`` rebuilds the potential.
+
 The pipeline:
 
 1. ``_unit_middles``: rescale the a-arrows so all consecutive products
@@ -31,7 +36,7 @@ with an AssertionError, which -O keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .cycles import Potential
@@ -73,9 +78,10 @@ def term_shape(q: DoubledPathQuiver, word: Word) -> Shape:
 class TypeAReport:
     is_type_a: bool
     reduced: bool
-    middle_coeffs: Dict[int, QQ] = field(default_factory=dict)
-    missing_middles: Tuple[int, ...] = ()
-    loop_squares: Tuple[int, ...] = ()
+    linear_terms: Tuple[int, ...]
+    middle_coeffs: Dict[int, QQ]
+    missing_middles: Tuple[int, ...]
+    loop_squares: Tuple[int, ...]
 
     @property
     def kind(self) -> str:
@@ -121,30 +127,20 @@ def type_a_report(f: Potential) -> TypeAReport:
     return TypeAReport(
         is_type_a=not missing,
         reduced=not loop_squares,
+        linear_terms=tuple(sorted(i for i, j in kappa if j == 1)),
         middle_coeffs=middles,
         missing_middles=missing,
         loop_squares=loop_squares,
     )
 
 
-@dataclass
-class MonomialReport:
-    kappa: Dict[Tuple[int, int], QQ]
-    truncation: int
-
-    def kappa_at(self, i: int, j: int) -> QQ:
-        return self.kappa.get((i, j), ZERO)
-
-    def reduced(self, quiver: DoubledPathQuiver) -> bool:
-        return all(not quiver.is_loop(i) for (i, j) in self.kappa if j == 2)
-
-
-def extract_monomial(f: Potential) -> Optional[MonomialReport]:
-    """Kappa table when f is monomial Type A with unit consecutive products."""
+def extract_monomial(f: Potential) -> Optional[Dict[Tuple[int, int], QQ]]:
+    """The power table of f, keyed (slot, power), when f is monomial Type A
+    with unit consecutive products; None otherwise."""
     kappa, middles, junk = read_terms(f)
     if junk or any(middles.get(i, ZERO) != 1 for i in range(1, f.quiver.m)):
         return None
-    return MonomialReport(kappa, f.truncation)
+    return kappa
 
 
 def potential_from_kappa(q: DoubledPathQuiver, truncation: int,
@@ -189,22 +185,26 @@ def _removal(q: DoubledPathQuiver, word: Word, coeff: QQ,
     return q.a_index(s), {(q.left_vertex(s), doubled[k + len(pattern) : k + len(ids)]): -coeff}
 
 
-def monomialize(f: Potential) -> Tuple[Potential, MonomialReport, Substitution]:
+def monomialize(f: Potential) -> Tuple[Potential, Dict[Tuple[int, int], QQ], Substitution]:
     """Transform a reduced Type A potential to monomial form below its truncation.
 
-    The returned substitution sends f to the monomial output exactly.
-    Raises PreconditionError when f is not Type A or not reduced.
+    Returns the monomial output g, its power table keyed (slot, power), and
+    a substitution that sends f to g exactly. Raises PreconditionError when
+    f is not Type A, not reduced, or has a linear term (a lone loop).
     """
     report = type_a_report(f)
     if not report.is_type_a:
         raise PreconditionError(f"missing consecutive products at {report.missing_middles}")
     if not report.reduced:
         raise PreconditionError(f"loop squares present at {report.loop_squares}")
+    if report.linear_terms:
+        raise PreconditionError(f"linear terms present at {report.linear_terms}")
     g, steps = _monomialize_core(f)
-    mono = extract_monomial(g)
-    assert mono is not None, "normalization left a non-monomial term"
-    assert mono.reduced(g.quiver), "a loop square appeared during normalization"
-    return g, mono, compose_chain(steps, f.quiver, f.truncation)
+    table = extract_monomial(g)
+    assert table is not None, "normalization left a non-monomial term"
+    assert not any(j == 2 and g.quiver.is_loop(i) for i, j in table), \
+        "a loop square appeared during normalization"
+    return g, table, compose_chain(steps, f.quiver, f.truncation)
 
 
 def _step(f: Potential, sub: Substitution, steps: List[Substitution]) -> Potential:
@@ -322,8 +322,8 @@ def add_loop(f: Potential, vertex: int) -> Potential:
     sub = Substitution.moves(new_q, f.truncation,
                              {new_q.a_index(t): (1, (-_neighbors(new_q, f.truncation, t)).terms)})
     out = sub.apply_potential(g)
-    mono = extract_monomial(out)
-    assert mono is not None and mono.kappa_at(t, 2) == QQ(-1, 2)
+    table = extract_monomial(out)
+    assert table is not None and table.get((t, 2)) == QQ(-1, 2)
     return out
 
 
@@ -335,19 +335,19 @@ def eliminate_loop(f: Potential, vertex: int) -> Potential:
     vertex has no loop or the loop square's coefficient is zero."""
     q = f.quiver
     assert isinstance(q, DoubledPathQuiver)
-    mono = extract_monomial(f)
-    if mono is None:
+    table = extract_monomial(f)
+    if table is None:
         raise PreconditionError("input must be monomial")
     s = q.loop_slot(vertex)
     if s is None:
         raise PreconditionError(f"vertex {vertex} carries no loop")
-    k2 = mono.kappa_at(s, 2)
+    k2 = table.get((s, 2), ZERO)
     if k2 == 0:
         raise PreconditionError("loop square coefficient must be invertible")
     D = f.truncation
 
     neighbors = _neighbors(q, D, s)
-    higher = [(j, mono.kappa_at(s, j)) for (i, j) in mono.kappa if i == s and j >= 3]
+    higher = [(j, c) for (i, j), c in table.items() if i == s and j >= 3]
 
     def rest(x: NCElement) -> NCElement:
         """neighbors + sum_j j kappa_{s,j} x^{j-1}: the loop equation less its linear term."""

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .field import ONE, QQ, ZERO, PreconditionError
 from .linalg import accumulate, combine
-from .quiver import DoubledPathQuiver, double_an
+from .quiver import double_an
 from .series import NCElement
 
 Monomial = Tuple[int, int]
@@ -182,18 +182,14 @@ def emit_presentation(gs: List[Poly]) -> Dict[str, object]:
 # -- noncommutative relations with the framing vertex deleted -----------------------
 
 
-def contraction_relations(
-    n: int, kappa: KappaTable, truncation: int,
-    quiver: Optional[DoubledPathQuiver] = None,
-) -> List[Tuple[str, NCElement]]:
-    """Defining relations of the contracted algebra on the full doubled path.
+def contraction_relations(n: int, kappa: KappaTable, truncation: int) -> List[Tuple[str, NCElement]]:
+    """Defining relations of the contracted algebra on the full doubled path,
+    a new ``double_an(n)`` that every relation's ``quiver`` holds.
 
     One relation per loop slot, a pair per edge slot; they agree with the
     derivative relations of the monomial potential with table kappa.
     """
-    q = quiver if quiver is not None else double_an(n)
-    if not (isinstance(q, DoubledPathQuiver) and q.n == n and not q.loopless):
-        raise PreconditionError(f"relations need the full doubled path on {n} vertices")
+    q = double_an(n)
     D = truncation
 
     def kappa_sum(i: int) -> NCElement:

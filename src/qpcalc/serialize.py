@@ -156,9 +156,6 @@ def kappa_from_json(data) -> Tuple[int, Dict[Tuple[int, int], QQ]]:
     return n, table
 
 
-def kappa_to_json(n: int, table: Dict[Tuple[int, int], QQ]) -> Dict[str, object]:
-    entries = [
-        {"i": i, "j": j, "coeff": rational_str(c)}
-        for (i, j), c in sorted(table.items())
-    ]
-    return {"n": n, "kappa": entries}
+def kappa_to_json(table: Dict[Tuple[int, int], QQ]) -> List[Dict[str, object]]:
+    """The entry list of a power table, the file's "kappa" list, sorted by (i, j)."""
+    return [{"i": i, "j": j, "coeff": rational_str(c)} for (i, j), c in sorted(table.items())]

@@ -45,7 +45,8 @@ class Substitution:
         """``images`` maps arrow indices to their images; every other arrow is fixed.
 
         PreconditionError when an image is on another quiver or truncation, or
-        has a term that does not run between its arrow's endpoints.
+        has a term that is not a path or does not run between its arrow's
+        endpoints.
         """
         self.quiver = quiver
         self.truncation = truncation
@@ -57,8 +58,11 @@ class Substitution:
                 a = quiver.arrows[index]
                 if el.quiver is not quiver or el.truncation != truncation:
                     raise PreconditionError(f"image of {a.name} is on another quiver or truncation")
-                for word in el.terms:
-                    if word[0] != a.tail or quiver.head_of(word) != a.head:
+                for tail, ids in el.terms:
+                    ends = [tail] + [quiver.arrows[i].head for i in ids]
+                    if any(quiver.arrows[i].tail != at for i, at in zip(ids, ends)):
+                        raise PreconditionError(f"image of {a.name} has a term that is not a path")
+                    if tail != a.tail or ends[-1] != a.head:
                         raise PreconditionError(f"image of {a.name} must run {a.tail} -> {a.head}")
                 self._store(a.index, el)
 
@@ -78,10 +82,6 @@ class Substitution:
             entry = (ONE if coeff == 1 else coeff, gain)
         self.images[index] = el
         self._entries[index] = entry
-
-    @classmethod
-    def identity(cls, quiver: Quiver, truncation: int) -> "Substitution":
-        return cls(quiver, truncation)
 
     @classmethod
     def moves(cls, quiver: Quiver, truncation: int,
@@ -212,7 +212,7 @@ def compose_chain(subs, quiver: Quiver, truncation: int) -> Substitution:
     paths of weight >= ``truncation`` to paths of weight >= ``truncation``
     and truncating between steps loses nothing.
     """
-    acc = Substitution.identity(quiver, truncation)
+    acc = Substitution(quiver, truncation)
     for s in reversed(subs):
         acc = compose(s, acc)
     return acc

@@ -292,29 +292,6 @@ def test_classify_rejects_another_quiver():
             step(f)
 
 
-OFF_QUIVER_SCRIPT = """
-from qpcalc.a3 import classify
-from qpcalc.field import QQ, PreconditionError
-from qpcalc.monomial import potential_from_kappa
-from qpcalc.quiver import double_an
-f = potential_from_kappa(double_an(2, loopless=[1]), 12, {(1, 2): QQ(1), (2, 3): QQ(1)})
-try:
-    print(classify(f))
-except PreconditionError as exc:
-    print("PreconditionError:", exc)
-"""
-
-
-def test_classify_quiver_check_survives_optimize():
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-c", OFF_QUIVER_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout == ("PreconditionError: classification expects the loopless "
-                               "three-vertex doubled path\n")
-
-
 # inputs outside what the two-cycle layer accepts, with the PreconditionError
 # message each must raise, with or without -O
 A3_PRECONDITIONS = {
@@ -326,6 +303,10 @@ A3_PRECONDITIONS = {
                                "orbit is defined for the finite-dimensional families"),
     "classify-without-crossing": ("classify(xy_potential(12, {(2, 0): QQ(1), (0, 3): QQ(1)}))",
                                   "missing consecutive products at (1,)"),
+    # x^2 + xy + y^3 with x the edge 2-cycle and y the loop of double_an(2, [1])
+    "classify-off-quiver": ("classify(potential_from_kappa(double_an(2, loopless=[1]), 12, "
+                            "{(1, 2): QQ(1), (2, 3): QQ(1)}))",
+                            "classification expects the loopless three-vertex doubled path"),
 }
 
 
@@ -333,7 +314,8 @@ A3_PRECONDITIONS = {
 def test_a3_preconditions_raise(case):
     call, message = A3_PRECONDITIONS[case]
     namespace = {"A3Class": A3Class, "QQ": QQ, "classify": classify, "derived_orbit": derived_orbit,
-                 "lambda_orbit": lambda_orbit, "xy_potential": xy_potential}
+                 "double_an": double_an, "lambda_orbit": lambda_orbit,
+                 "potential_from_kappa": potential_from_kappa, "xy_potential": xy_potential}
     with pytest.raises(PreconditionError, match=re.escape(message)):
         eval(call, namespace)
 
@@ -343,6 +325,8 @@ A3_SCRIPT = """
 import sys
 from qpcalc.a3 import A3Class, classify, derived_orbit, lambda_orbit, xy_potential
 from qpcalc.field import QQ, PreconditionError
+from qpcalc.monomial import potential_from_kappa
+from qpcalc.quiver import double_an
 for name, call in zip(sys.argv[1::2], sys.argv[2::2]):
     try:
         print(f"{name}: {eval(call)}")
@@ -364,7 +348,8 @@ def optimized_a3_outcomes():
 
 @pytest.mark.parametrize("case", sorted(A3_PRECONDITIONS))
 def test_a3_preconditions_survive_optimize(case, optimized_a3_outcomes):
-    # under -O an assert would let 1/4 reach a division by 1 - 4 lam, and a
-    # potential without xy reach the end of normalize
+    # under -O an assert would let 1/4 reach a division by 1 - 4 lam, a
+    # potential without xy reach the end of normalize, and one on another
+    # quiver reach the two-cycle layer
     assert [name for name, _ in optimized_a3_outcomes] == sorted(A3_PRECONDITIONS)
     assert dict(optimized_a3_outcomes)[case] == f"PreconditionError: {A3_PRECONDITIONS[case][1]}"

@@ -175,6 +175,22 @@ def test_a3_classify_rescales_the_crossing_term(tmp_path, capsys):
     assert payload["params"] == ["1/9"]
 
 
+def test_a3_inputs_that_classify_rejects_exit_one(tmp_path, capsys):
+    # classify states the checks for a missing crossing term and for another
+    # quiver (here with a crossing 2, which qp rescales first), and every a3
+    # subcommand reports them as such
+    other = {**TYPE_A_INPUT, "terms": [{"coeff": "2", "arrows": ["a1", "a2", "b2"]}]}
+    cases = [(two_cycle_file(tmp_path, kxy="0"), "missing consecutive products at (1,)"),
+             (write(tmp_path, "other.json", other),
+              "classification expects the loopless three-vertex doubled path")]
+    for path, message in cases:
+        for argv in (["classify"], ["flop", "--curve", "1"], ["orbit"]):
+            assert main(["a3", *argv, "--input", path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"qp: precondition failed: {message}\n"
+
+
 def _substitution_from_json(quiver, data):
     """Rebuild an emitted substitution from its arrow-name image lists."""
     images = {}

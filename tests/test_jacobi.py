@@ -61,9 +61,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # then an element on another quiver handed to the rewriting engine, then a loop
 # index past n and n = 0 given to the cyclic quiver, then loop insertion and
 # elimination on a monomial potential with a loop at vertex 1 only (powers x_1^3
-# and x_2^3, so no loop square) and on its non-monomial double
+# and x_2^3, so no loop square) and on its non-monomial double, then
+# monomialization of a potential with a lone loop a1 (a linear term)
 PRECONDITION_SCRIPT = """
-from qpcalc import add_loop, double_an, eliminate_loop, jdim, x_monomial
+from qpcalc import add_loop, double_an, eliminate_loop, jdim, monomialize, x_monomial
 from qpcalc.appendix import appendix_quiver, exactness_check
 from qpcalc.field import PreconditionError
 from qpcalc.monomial import potential_from_kappa
@@ -75,12 +76,15 @@ f = (x_monomial(q, D, [(1, False), (2, False)]) + x_monomial(q, D, [(2, True), (
 system = ReductionSystem(q, D)
 other = NCElement.lazy(double_an(3), D, 1)
 mono = potential_from_kappa(double_an(2, [2]), D, {(1, 3): 1, (2, 3): 1})
+linear = (x_monomial(q, D, [(1, False)]) + x_monomial(q, D, [(1, False), (2, False)])
+          + x_monomial(q, D, [(2, True), (3, False)])
+          + x_monomial(q, D, [(1, False), (1, False), (2, False)])).scale(-3)
 for call in (lambda: jdim(f, quotient_vertices=(99,)).as_pair(),
              lambda: system.reduce(other), lambda: system.add_relation(other),
              lambda: appendix_quiver(2).loop(0, 5), lambda: exactness_check(0, 8),
              lambda: add_loop(mono.scale(2), 2), lambda: add_loop(mono, 1),
              lambda: eliminate_loop(mono.scale(2), 1), lambda: eliminate_loop(mono, 2),
-             lambda: eliminate_loop(mono, 1)):
+             lambda: eliminate_loop(mono, 1), lambda: monomialize(linear)):
     try:
         print(call())
     except PreconditionError as exc:
@@ -94,32 +98,38 @@ def test_deleting_an_unknown_vertex_is_rejected():
         jdim(xy_potential(q, 8), quotient_vertices=(99,))
 
 
-def test_unknown_vertex_check_survives_optimize():
+PRECONDITION_LINES = [
+    "PreconditionError: no vertices [99] to delete",
+    "PreconditionError: the element and the reduction system are on different quivers",
+    "PreconditionError: the element and the reduction system are on different quivers",
+    "PreconditionError: loop index 5 is outside 0..2",
+    "PreconditionError: the cyclic quiver needs n >= 1, not 0",
+    "PreconditionError: input must be monomial",
+    "PreconditionError: vertex 1 is not a loopless vertex",
+    "PreconditionError: input must be monomial",
+    "PreconditionError: vertex 2 carries no loop",
+    "PreconditionError: loop square coefficient must be invertible",
+    "PreconditionError: linear terms present at (1,)",
+]
+
+
+def test_unknown_vertex_check_survives_optimize(capsys):
+    # the plain pass runs in this interpreter, the -O pass in a fresh one
+    exec(compile(PRECONDITION_SCRIPT, "<precondition checks>", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == PRECONDITION_LINES
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-c", PRECONDITION_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.splitlines() == [
-            "PreconditionError: no vertices [99] to delete",
-            "PreconditionError: the element and the reduction system are on different quivers",
-            "PreconditionError: the element and the reduction system are on different quivers",
-            "PreconditionError: loop index 5 is outside 0..2",
-            "PreconditionError: the cyclic quiver needs n >= 1, not 0",
-            "PreconditionError: input must be monomial",
-            "PreconditionError: vertex 1 is not a loopless vertex",
-            "PreconditionError: input must be monomial",
-            "PreconditionError: vertex 2 carries no loop",
-            "PreconditionError: loop square coefficient must be invertible",
-        ]
+    proc = subprocess.run([sys.executable, "-O", "-c", PRECONDITION_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == PRECONDITION_LINES
 
 
 def test_vertex_deletion_quotient_dimension_six():
     q = base_quiver()
     for lam in (1, 2, QQ(1, 4)):
         f = xy_potential(q, 12, ky=lam)
-        left = jdim(f, 12, quotient_vertices=[1])
-        right = jdim(f, 12, quotient_vertices=[3])
+        left = jdim(f, quotient_vertices=[1])
+        right = jdim(f, quotient_vertices=[3])
         assert left.as_pair() == (6, EXACT)
         assert right.as_pair() == (6, EXACT)
 
@@ -127,7 +137,7 @@ def test_vertex_deletion_quotient_dimension_six():
 def test_full_dimension_twenty_at_lambda_one():
     q = base_quiver()
     f = xy_potential(q, 12)
-    report = jdim(f, 12)
+    report = jdim(f)
     assert report.as_pair() == (20, EXACT)
 
 
@@ -136,29 +146,29 @@ def test_oracle_agrees_on_twenty():
     f = xy_potential(q, 12)
     rels = jacobi_relations(f)
     assert jdim_oracle(q, rels, 12) == 20
-    assert jdim(f, 12).value == 20
+    assert jdim(f).value == 20
 
 
 def test_pure_xy_quotient_is_4p_minus_2():
     q = base_quiver()
     for p in (2, 3):
         f = xy_potential(q, 12, ky=0, px=p)
-        right = jdim(f, 12, quotient_vertices=[3])
+        right = jdim(f, quotient_vertices=[3])
         assert right.as_pair() == (4 * p - 2, EXACT)
 
 
 def test_infinite_families_report_growing_lower_bounds():
     q = base_quiver()
     f = xy_potential(q, 12, ky=QQ(1, 4))  # det-zero base potential
-    totals = [jdim(f, D).value for D in (8, 10, 12)]
-    assert totals[0] < totals[1] < totals[2]
-    assert all(jdim(f, D).certificate == LOWER_BOUND for D in (8, 10, 12))
+    reports = [jdim(f.truncate(D)) for D in (8, 10, 12)]
+    assert reports[0].value < reports[1].value < reports[2].value
+    assert all(report.certificate == LOWER_BOUND for report in reports)
 
 
 def test_fingerprint_orders_end_quotients():
     q = base_quiver()
     f = xy_potential(q, 10, px=2, py=3)  # x^2 + xy + y^3
-    fp = fingerprint(f, 10)
+    fp = fingerprint(f)
     assert fp.total[1] == EXACT
     assert fp.ends[0][0] == 6  # 4p-2 with p=2
     assert fp.ends[1][0] == 10  # 4q-2 with q=3
@@ -167,7 +177,7 @@ def test_fingerprint_orders_end_quotients():
 def test_commutativity_witness_without_middle_term():
     q = base_quiver()
     f = xy_potential(q, 5, kxy=0)  # x^2 + y^2, no mixed term
-    report = vertex_commutativity(f, truncation=5)
+    report = vertex_commutativity(f)
     assert not report.commutes
     assert report.vertex == 2
     w = path(q, ["b1", "a1", "a2", "b2"])
@@ -178,7 +188,7 @@ def test_commutativity_witness_without_middle_term():
 def test_commutativity_passes_with_middle_term():
     q = base_quiver()
     f = xy_potential(q, 8)
-    assert vertex_commutativity(f, truncation=8).commutes
+    assert vertex_commutativity(f).commutes
 
 
 def test_same_ideal_mutual_reduction():
@@ -200,9 +210,9 @@ def test_one_completion_per_jdim(monkeypatch):
 
     monkeypatch.setattr(jacobi, "system_from_relations", counting)
     f = xy_potential(base_quiver(), 12)
-    assert jdim(f, 12).as_pair() == (20, EXACT)
+    assert jdim(f).as_pair() == (20, EXACT)
     assert calls == [12]
-    assert jdim(f, 12, quotient_vertices=[1]).as_pair() == (6, EXACT)
+    assert jdim(f, quotient_vertices=[1]).as_pair() == (6, EXACT)
     assert calls == [12, 12]
 
 
@@ -244,6 +254,6 @@ def small_potential(draw):
 def test_single_completion_matches_oracle_and_rerun(f):
     D = f.truncation
     relations = jacobi_relations(f)
-    report = jdim(f, D)
+    report = jdim(f)
     assert sum(report.counts) == report.value == jdim_oracle(f.quiver, relations, D)
     assert report.certificate == _two_completion_certificate(f.quiver, relations, D)

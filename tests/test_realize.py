@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from qpcalc import QQ, double_an
+from qpcalc import QQ
 from qpcalc.field import PreconditionError
 from qpcalc.monomial import potential_from_kappa
 from qpcalc.serialize import element_to_json
@@ -144,9 +144,9 @@ def test_contraction_relations_match_derivatives():
         (2, 3): QQ(2),
         (3, 2): QQ(-1, 2),
     }
-    q = double_an(n)
+    rels = dict(contraction_relations(n, kappa, D))
+    q = rels["a1"].quiver
     f = potential_from_kappa(q, D, kappa)
-    rels = dict(contraction_relations(n, kappa, D, quiver=q))
     for arrow in q.arrows:
         assert f.cyclic_derivative(arrow.name) == rels[arrow.name]
 
@@ -259,10 +259,6 @@ def test_g_system_preconditions():
         a3_realize(QQ(1), 1, QQ(0), 0)
     with pytest.raises(PreconditionError, match="power q=0 below 2"):
         a3_kappa_table(QQ(0), 0, QQ(1), 0)
-    with pytest.raises(PreconditionError, match="full doubled path on 2 vertices"):
-        contraction_relations(2, {}, 8, quiver=double_an(3))
-    with pytest.raises(PreconditionError, match="full doubled path on 2 vertices"):
-        contraction_relations(2, {}, 8, quiver=double_an(2, loopless=[1]))
 
 
 def test_g_system_preconditions_survive_optimize():
@@ -272,16 +268,15 @@ def test_g_system_preconditions_survive_optimize():
     script = (
         "import io, json, os, sys, tempfile\n"
         "from qpcalc.cli import main\n"
-        "from qpcalc import QQ, double_an\n"
+        "from qpcalc import QQ\n"
         "from qpcalc.field import ONE, PreconditionError\n"
-        "from qpcalc.realize import X, Y, Poly, a3_realize, contraction_relations, solve_g_system\n"
+        "from qpcalc.realize import X, Y, Poly, a3_realize, solve_g_system\n"
         "calls = [\n"
         "    lambda: solve_g_system(2, {}, anchor_index=9),\n"
         "    lambda: solve_g_system(2, {}, anchor_values=(X, -X)),\n"
         "    lambda: solve_g_system(2, {}, anchor_values=(X + Poly({(0, 0): ONE}), Y)),\n"
         "    lambda: solve_g_system(2, {(2, 1): ONE}),\n"
         "    lambda: a3_realize(QQ(1), 1, QQ(0), 0),\n"
-        "    lambda: contraction_relations(2, {}, 8, quiver=double_an(3)),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n"
@@ -304,6 +299,5 @@ def test_g_system_preconditions_survive_optimize():
         "raised anchor value has a constant term",
         "raised kappa has a power below 2",
         "raised power p=1 below 2",
-        "raised relations need the full doubled path on 2 vertices",
         "exit 1 qp: precondition failed: anchor 4 outside 0..3",
     ]

@@ -91,7 +91,7 @@ def test_kappa_round_trip():
     ]})
     assert n == 2
     assert table == {(1, 3): QQ(2, 3), (2, 2): QQ(-1)}
-    assert kappa_to_json(n, table)["kappa"] == [
+    assert kappa_to_json(table) == [
         {"i": 1, "j": 3, "coeff": "2/3"},
         {"i": 2, "j": 2, "coeff": "-1"},
     ]

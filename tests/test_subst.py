@@ -136,7 +136,7 @@ def test_compose_is_associative(steps):
 @given(chain(0, 5))
 def test_compose_chain_matches_step_by_step_left_fold(steps):
     D = steps[0].truncation if steps else 5
-    left = Substitution.identity(A2, D)
+    left = Substitution(A2, D)
     for s in steps:
         left = compose(left, s)
     right = compose_chain(steps, A2, D)
@@ -322,6 +322,14 @@ SUBST_PRECONDITIONS = {
     "image-endpoints": (
         "Substitution(q, 6, {a1: NCElement.from_word(q, 6, (2, (b1,)))})",
         "image of a1 must run 1 -> 2"),
+    # declared tail 1 and head 2 as a1 has, but b2 leaves vertex 3
+    "image-first-arrow": (
+        "Substitution.moves(q, 6, {a1: (1, {(1, (b2, b1, a1)): 1})})",
+        "image of a1 has a term that is not a path"),
+    # a1 a2 ends at 3, where the last a1 does not start
+    "image-broken-path": (
+        "Substitution.moves(q, 6, {a1: (1, {(1, (a1, a2, a1)): 1})})",
+        "image of a1 has a term that is not a path"),
     "compose-truncation": (
         "compose(Substitution(q, 6), Substitution(q, 7))",
         "composed substitutions must share the quiver and the truncation"),
@@ -341,7 +349,7 @@ from qpcalc.quiver import double_an
 from qpcalc.series import NCElement
 from qpcalc.subst import Substitution, compose
 q = double_an(3, [1, 2, 3])
-a1, b1 = q.by_name["a1"].index, q.by_name["b1"].index
+a1, b1, a2, b2 = (q.by_name[name].index for name in ("a1", "b1", "a2", "b2"))
 for name, call in zip(sys.argv[1::2], sys.argv[2::2]):
     try:
         eval(call)
@@ -357,7 +365,7 @@ def test_substitution_preconditions_raise(case):
     q = quiver_a3()
     namespace = {"Substitution": Substitution, "compose": compose, "NCElement": NCElement,
                  "double_an": double_an, "q": q,
-                 "a1": q.by_name["a1"].index, "b1": q.by_name["b1"].index}
+                 **{name: q.by_name[name].index for name in ("a1", "b1", "a2", "b2")}}
     with pytest.raises(PreconditionError) as info:
         eval(call, namespace)
     assert str(info.value) == message
