@@ -354,21 +354,20 @@ def _terms(vec: object) -> Dict[Ids, QQ]:
     return {vec: ONE} if vec.__class__ is tuple else vec
 
 
-def _image_vec(action: _RightAction, source: Word, weight: int,
-               factors: List[Tuple[Ids, QQ, int]]) -> Vec:
-    """Right-multiply a basis word of the given weight by tagged factors, each
-    a tuple of arrow ids, and express in coordinates keyed by (component
-    tag, word).
-
-    Each product source·factor is read from the check's right-action
-    table (``_RightAction``) one arrow at a time, so a two-arrow factor
-    is two table steps.
-    """
-    tail, ids = source
-    out: Vec = {}
-    for factor, coeff, tag in factors:
-        nf = _terms(action.fold(tail, ids, weight, factor))
-        accumulate(out, coeff, {(tag, (tail, v)): c for v, c in nf.items()})
+def _map(action: _RightAction, sources: List[List[Word]], weight: int,
+         matrix: List[List[Tuple[Ids, QQ, int]]]) -> Dict[Tuple[int, Word], Vec]:
+    """A map of the complex on the basis words of weight ``weight``, keyed by
+    (component, word) on both sides: each source word times its component's
+    row of ``matrix``, each product read from the right-action table one
+    arrow at a time."""
+    out: Dict[Tuple[int, Word], Vec] = {}
+    for component, (words, row) in enumerate(zip(sources, matrix)):
+        for tail, ids in words:
+            vec: Vec = {}
+            for factor, coeff, target in row:
+                nf = _terms(action.fold(tail, ids, weight, factor))
+                accumulate(vec, coeff, {(target, (tail, v)): c for v, c in nf.items()})
+            out[component, (tail, ids)] = vec
     return out
 
 
@@ -390,12 +389,16 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
     system = appendix_system(n, D + 3)
     q: AppendixQuiver = system.quiver  # type: ignore[assignment]
     action = _RightAction(system)
-    one = QQ(1)
 
-    # the factors as arrow ids; each starts where its basis words end
+    # the maps as factor matrices: per source component, its row of (arrow ids,
+    # coefficient, target component); each factor starts where its words end
     a0, bn, b0, an = (q.a(0),), (q.b(n),), (q.b(0),), (q.a(n),)
     l1n, ln0 = (q.loop(1, n),), (q.loop(n, 0),)
     b0bn, ana0 = (q.b(0), q.b(n)), (q.a(n), q.a(0))
+    d4_matrix = [[(a0, ONE, 0), (bn, ONE, 1)]]
+    d3_matrix = [[(l1n, ONE, 0), (b0bn, -ONE, 1)],
+                 [(ana0, -ONE, 0), (ln0, ONE, 1)]]
+    d2_matrix = [[(b0, ONE, 0)], [(an, ONE, 0)]]
     middle_loops = set(q.loop(0, i) for i in range(1, n))
     bases: Dict[Tuple[int, int], List[Word]] = {}
 
@@ -408,44 +411,26 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
     degrees = {}
     failures = []
     for d in range(D - 3):
-        v0 = basis(0, d)
-        v1a = basis(1, d + 1)
-        v1b = basis(n, d + 1)
-        v2a = basis(1, d + 3)
-        v2b = basis(n, d + 3)
-        v3 = basis(0, d + 4)
+        # the components P0, P1 + Pn, P1 + Pn, P0 from the left, by head
+        v0, v3 = basis(0, d), basis(0, d + 4)
+        v1, v2 = [basis(1, d + 1), basis(n, d + 1)], [basis(1, d + 3), basis(n, d + 3)]
         ed4 = euler_count(n, d + 4)
 
-        d4 = {h: _image_vec(action, h, d, [(a0, one, 0), (bn, one, 1)]) for h in v0}
-        d3 = {}
-        for f in v1a:
-            d3[(0, f)] = _image_vec(action, f, d + 1, [(l1n, one, 0), (b0bn, -one, 1)])
-        for g in v1b:
-            d3[(1, g)] = _image_vec(action, g, d + 1, [(ana0, -one, 0), (ln0, one, 1)])
-        d2 = {}
-        for f in v2a:
-            d2[(0, f)] = _image_vec(action, f, d + 3, [(b0, one, 0)])
-        for g in v2b:
-            d2[(1, g)] = _image_vec(action, g, d + 3, [(an, one, 0)])
+        d4 = _map(action, [v0], d, d4_matrix)
+        d3 = _map(action, v1, d + 1, d3_matrix)
+        d2 = _map(action, v2, d + 3, d2_matrix)
 
-        chain_ok = all(not combine(d4[h], d3.__getitem__) for h in v0) and \
-            all(not combine(d3[k], d2.__getitem__) for k in d3)
+        chain_ok = all(not combine(vec, d3.__getitem__) for vec in d4.values()) and \
+            all(not combine(vec, d2.__getitem__) for vec in d3.values())
         # d1 kills everything except pure runs of interior loops
-        d1_ok = True
-        d1_rank_targets = set()
-        for key, vec in d2.items():
-            for (tag, word), _c in vec.items():
-                if all(i in middle_loops for i in word[1]):
-                    d1_ok = False
-        for p in v3:
-            if p[1] and all(i in middle_loops for i in p[1]):
-                d1_rank_targets.add(p)
+        d1_ok = not any(all(i in middle_loops for i in word[1])
+                        for vec in d2.values() for _tag, word in vec)
+        d1_rank = sum(1 for p in v3 if p[1] and all(i in middle_loops for i in p[1]))
 
-        r4 = rank_of(d4.values())
-        r3 = rank_of(d3.values())
-        r2 = rank_of(d2.values())
+        r4, r3, r2 = (rank_of(m.values()) for m in (d4, d3, d2))
+        dims = (len(v0), len(d3), len(d2), len(v3), ed4)
         entry = {
-            "dims": (len(v0), len(v1a) + len(v1b), len(v2a) + len(v2b), len(v3), ed4),
+            "dims": dims,
             "ranks": (r4, r3, r2),
             "chain": chain_ok,
             "image_misses_surviving_loops": d1_ok,
@@ -453,11 +438,11 @@ def exactness_check(n: int, max_degree: int) -> Dict[str, object]:
         exact = (
             chain_ok
             and d1_ok
-            and len(d1_rank_targets) == ed4
-            and r4 == len(v0)
-            and r4 + r3 == len(v1a) + len(v1b)
-            and r3 + r2 == len(v2a) + len(v2b)
-            and r2 + ed4 == len(v3)
+            and d1_rank == ed4
+            and r4 == dims[0]
+            and r4 + r3 == dims[1]
+            and r3 + r2 == dims[2]
+            and r2 + ed4 == dims[3]
         )
         entry["pass"] = exact
         degrees[d] = entry

@@ -87,7 +87,7 @@ class TypeAReport:
     def kind(self) -> str:
         if not self.is_type_a:
             return "NotTypeA"
-        return "ReducedTypeA" if self.reduced else "TypeA"
+        return "ReducedTypeA" if self.reduced and not self.linear_terms else "TypeA"
 
 
 def read_terms(f: Potential) -> Tuple[Dict[Tuple[int, int], QQ], Dict[int, QQ],

@@ -141,6 +141,23 @@ def test_typea_check_verdicts(tmp_path, capsys):
     assert 1 in payload["missing"]
 
 
+def test_typea_check_calls_a_lone_loop_unreduced(tmp_path, capsys):
+    # monomialize refuses a linear term, so the verdict must not read ReducedTypeA
+    path = write(tmp_path, "lin.json", {
+        "quiver": {"n": 2, "loopless": []},
+        "truncation": 8,
+        "terms": [{"coeff": "-3", "arrows": ["a1"]},
+                  {"coeff": "-3", "arrows": ["a1", "a2", "b2"]},
+                  {"coeff": "-3", "arrows": ["b2", "a2", "a3"]}],
+    })
+    code, payload = run(capsys, "typea-check", "--input", path)
+    assert code == 0
+    assert payload["verdict"] == "TypeA"
+    assert payload["missing"] == [] and payload["loop_squares"] == []
+    assert main(["monomialize", "--input", path]) == 1
+    assert capsys.readouterr().err == "qp: precondition failed: linear terms present at (1,)\n"
+
+
 def test_realize_presentation_fields(tmp_path, capsys):
     path = write(tmp_path, "k.json", KAPPA_INPUT)
     code, payload = run(capsys, "realize", "--input", path, "--anchor", "2")
@@ -330,85 +347,124 @@ def test_malformed_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _qp(*argv, optimize=False, setup=""):
-    """Run qp in a fresh interpreter; ``setup`` runs first in the same process."""
+NOT_COMPOSABLE_INPUT = {
+    "quiver": {"n": 2, "loopless": []},
+    "truncation": 6,
+    "terms": [{"coeff": "1", "arrows": ["a2", "a1", "b2"]}],
+}
+
+ONE_ARROW_CYCLE_INPUT = {
+    "quiver": {"n": 2, "loopless": []},
+    "truncation": 6,
+    "terms": [{"coeff": "1", "arrows": ["a1"]}, {"coeff": "1", "arrows": ["a2", "b2"]}],
+}
+
+APQ_OUT_OF_RANGE = [("2", "2", "1"), ("3", "2", "5"), ("3", "0", "1"),
+                    ("0", "3", "1"), ("-2", "3", "1"), ("1", "1", "1")]
+
+# the precondition cases checked under python -O: name -> (argv, MAX_PASSES or
+# None); an argv entry "@<name>" is the path of that input document
+OPTIMIZED_CASES = {
+    "monomialize-not-type-a": (["monomialize", "--input", "@not_type_a"], None),
+    "monomialize-pass-bound": (["monomialize", "--input", "@type_a"], 1),
+    **{f"apq-{p}-{q}-{mu}": (["a3", "apq", "--p", p, "--q", q, "--mu", mu], None)
+       for p, q, mu in APQ_OUT_OF_RANGE},
+    **{f"realize-degree-{degree}": (["realize", "--input", "@kappa", "--max-degree", degree], None)
+       for degree in ("0", "-3")},
+    "jdim-not-composable": (["jdim", "--input", "@not_composable"], None),
+    "jdim-one-arrow-cycle": (["jdim", "--input", "@one_arrow_cycle"], None),
+}
+
+# argv[1] holds [name, argv, max_passes] triples; prints __debug__ and, per name,
+# [exit code, stdout, stderr]
+OPTIMIZED_SCRIPT = """
+import contextlib, io, json, sys
+import qpcalc.monomial
+from qpcalc.cli import main
+outcomes = {}
+for name, argv, max_passes in json.loads(sys.argv[1]):
+    saved = qpcalc.monomial.MAX_PASSES
+    if max_passes is not None:
+        qpcalc.monomial.MAX_PASSES = max_passes
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        qpcalc.monomial.MAX_PASSES = saved
+    outcomes[name] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps({"debug": __debug__, "outcomes": outcomes}))
+"""
+
+
+@pytest.fixture(scope="module")
+def optimized(tmp_path_factory):
+    """Every OPTIMIZED_CASES case run through main in one python -O interpreter:
+    name -> (exit code, stdout, stderr)."""
+    tmp = tmp_path_factory.mktemp("optimized")
+    inputs = {"@not_type_a": two_cycle_file(tmp, kxy="0"),
+              "@type_a": write(tmp, "g.json", TYPE_A_INPUT),
+              "@kappa": write(tmp, "k.json", KAPPA_INPUT),
+              "@not_composable": write(tmp, "nc.json", NOT_COMPOSABLE_INPUT),
+              "@one_arrow_cycle": write(tmp, "one.json", ONE_ARROW_CYCLE_INPUT)}
+    cases = [[name, [inputs.get(arg, arg) for arg in argv], max_passes]
+             for name, (argv, max_passes) in OPTIMIZED_CASES.items()]
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    flags = ["-O"] if optimize else []
-    entry = (["-c", f"{setup}\nimport sys\nfrom qpcalc.cli import main\nsys.exit(main())"]
-             if setup else ["-m", "qpcalc.cli"])
-    return subprocess.run([sys.executable, *flags, *entry, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, json.dumps(cases)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["debug"] is False
+    assert sorted(report["outcomes"]) == sorted(OPTIMIZED_CASES)
+    return {name: tuple(outcome) for name, outcome in report["outcomes"].items()}
 
 
-def test_monomialize_precondition_survives_optimize(tmp_path):
+def test_monomialize_precondition_survives_optimize(optimized):
     """Under python -O a violated precondition still exits 1 with a message."""
-    path = two_cycle_file(tmp_path, kxy="0")  # not Type A
-    proc = _qp("monomialize", "--input", path, optimize=True)
-    assert proc.returncode == 1, proc.stderr[-2000:]
-    assert proc.stderr.startswith("qp: precondition failed: missing consecutive products")
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    code, out, err = optimized["monomialize-not-type-a"]
+    assert code == 1, err[-2000:]
+    assert err.startswith("qp: precondition failed: missing consecutive products")
+    assert "Traceback" not in err
+    assert out == ""
 
 
-def test_monomialize_pass_bound_survives_optimize(tmp_path):
+def test_monomialize_pass_bound_survives_optimize(optimized):
     """Under python -O the normalization loops still stop at MAX_PASSES and exit 1."""
-    path = write(tmp_path, "g.json", TYPE_A_INPUT)  # the x_1^2 x_2 term needs a funnel pass
-    proc = _qp("monomialize", "--input", path, optimize=True,
-               setup="import qpcalc.monomial as m\nm.MAX_PASSES = 1")
-    assert proc.returncode == 1, proc.stderr[-2000:]
-    assert proc.stderr == "qp: precondition failed: junk of degree 3 left after 1 passes\n"
-    assert proc.stdout == ""
+    # the x_1^2 x_2 term of TYPE_A_INPUT needs a funnel pass
+    assert optimized["monomialize-pass-bound"] == \
+        (1, "", "qp: precondition failed: junk of degree 3 left after 1 passes\n")
 
 
-@pytest.mark.parametrize("p, q, mu", [("2", "2", "1"), ("3", "2", "5"), ("3", "0", "1"),
-                                      ("0", "3", "1"), ("-2", "3", "1"), ("1", "1", "1")])
-def test_apq_out_of_range_survives_optimize(p, q, mu):
+@pytest.mark.parametrize("p, q, mu", APQ_OUT_OF_RANGE)
+def test_apq_out_of_range_survives_optimize(capsys, optimized, p, q, mu):
     """Under python -O an apq parameter outside the range still exits 1, as without -O."""
-    argv = ("a3", "apq", "--p", p, "--q", q, "--mu", mu)
-    plain, optimized = _qp(*argv), _qp(*argv, optimize=True)
-    for proc in (plain, optimized):
-        assert proc.returncode == 1, proc.stderr[-2000:]
-        assert proc.stdout == ""
+    code = main(["a3", "apq", "--p", p, "--q", q, "--mu", mu])
+    plain = (code, *capsys.readouterr())
     expected = "qp: precondition failed: parameters outside the finite-dimensional range\n"
-    assert plain.stderr == optimized.stderr == expected
+    assert plain == optimized[f"apq-{p}-{q}-{mu}"] == (1, "", expected)
 
 
 @pytest.mark.parametrize("degree", ["0", "-3"])
-def test_realize_degree_below_one_survives_optimize(tmp_path, degree):
+def test_realize_degree_below_one_survives_optimize(optimized, degree):
     """Under python -O a realize truncation below 1 still exits 1 and names the value."""
-    path = write(tmp_path, "k.json", KAPPA_INPUT)
-    proc = _qp("realize", "--input", path, "--max-degree", degree, optimize=True)
-    assert proc.returncode == 1, proc.stderr[-2000:]
-    assert proc.stderr == f"qp: error: max degree must be at least 1, got {degree}\n"
-    assert proc.stdout == ""
+    assert optimized[f"realize-degree-{degree}"] == \
+        (1, "", f"qp: error: max degree must be at least 1, got {degree}\n")
 
 
-def test_non_composable_term_survives_optimize(tmp_path):
+def test_non_composable_term_survives_optimize(optimized):
     """Under python -O a term whose arrows do not compose still exits 1."""
-    path = write(tmp_path, "nc.json", {
-        "quiver": {"n": 2, "loopless": []},
-        "truncation": 6,
-        "terms": [{"coeff": "1", "arrows": ["a2", "a1", "b2"]}],
-    })
-    proc = _qp("jdim", "--input", path, optimize=True)
-    assert proc.returncode == 1, proc.stderr[-2000:]
-    assert proc.stderr.startswith("qp: schema error: arrows do not compose")
-    assert proc.stdout == ""
+    code, out, err = optimized["jdim-not-composable"]
+    assert code == 1, err[-2000:]
+    assert err.startswith("qp: schema error: arrows do not compose")
+    assert out == ""
 
 
-def test_one_arrow_cycle_survives_optimize(tmp_path):
+def test_one_arrow_cycle_survives_optimize(tmp_path, capsys, optimized):
     """Under python -O a relation with a lazy lead still exits 1, as without -O."""
-    path = write(tmp_path, "one.json", {
-        "quiver": {"n": 2, "loopless": []},
-        "truncation": 6,
-        "terms": [{"coeff": "1", "arrows": ["a1"]}, {"coeff": "1", "arrows": ["a2", "b2"]}],
-    })
-    plain, optimized = _qp("jdim", "--input", path), _qp("jdim", "--input", path, optimize=True)
-    for proc in (plain, optimized):
-        assert proc.returncode == 1, proc.stderr[-2000:]
-        assert proc.stdout == ""
+    code = main(["jdim", "--input", write(tmp_path, "one.json", ONE_ARROW_CYCLE_INPUT)])
+    plain = (code, *capsys.readouterr())
     expected = "qp: precondition failed: a relation with a lazy lead collapses a vertex\n"
-    assert plain.stderr == optimized.stderr == expected
+    assert plain == optimized["jdim-one-arrow-cycle"] == (1, "", expected)
 
 
 def test_parser_state_does_not_leak_between_calls(tmp_path, capsys):

@@ -173,6 +173,7 @@ def test_imports_sit_at_module_level(path):
 ONE_CALLER = {"term_shape": "monomial.read_terms",
               "_advance": "rewrite.ReductionSystem.irreducible_table",
               "_removal": "monomial._funnel",
+              "_map": "appendix.exactness_check",
               "_skip_substitution": "test_monomial.test_removal_matches_the_skip_and_higher_rules.checked",
               "_higher_substitution": "test_monomial.test_removal_matches_the_skip_and_higher_rules.checked"}
 
